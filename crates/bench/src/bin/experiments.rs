@@ -68,28 +68,25 @@ fn main() {
         Some("work") => return work_cmd(&args[1..]),
         _ => {}
     }
-    let want = |tag: &str| args.is_empty() || args.iter().any(|a| a == tag);
-
-    if want("--e1") {
-        e1_theorem2();
+    const TABLES: [(&str, fn()); 7] = [
+        ("--e1", e1_theorem2),
+        ("--e2", e2_theorem8_possible),
+        ("--e3", e3_theorem8_border),
+        ("--e4", e4_theorem10),
+        ("--e5", e5_corollary13),
+        ("--e6", e6_graph_lemmas),
+        ("--e7", e7_discrete_event),
+    ];
+    if let Some(unknown) = args
+        .iter()
+        .find(|a| !TABLES.iter().any(|(flag, _)| a == flag))
+    {
+        usage(&format!("unknown argument {unknown:?}"));
     }
-    if want("--e2") {
-        e2_theorem8_possible();
-    }
-    if want("--e3") {
-        e3_theorem8_border();
-    }
-    if want("--e4") {
-        e4_theorem10();
-    }
-    if want("--e5") {
-        e5_corollary13();
-    }
-    if want("--e6") {
-        e6_graph_lemmas();
-    }
-    if want("--e7") {
-        e7_discrete_event();
+    for (flag, table) in TABLES {
+        if args.is_empty() || args.iter().any(|a| a == flag) {
+            table();
+        }
     }
 }
 
@@ -369,7 +366,8 @@ fn fail(msg: impl std::fmt::Display) -> ! {
 fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
-        "usage: experiments sweep --grid <{names}> --out FILE \
+        "usage: experiments [--e1 … --e7]\n\
+         \u{20}      experiments sweep --grid <{names}> --out FILE \
          [--grid-seed N] [--shard I/J] [--window N] [--seq | --batch B]\n\
          \u{20}      experiments sweep --resume FILE [--out FILE] [--window N]\n\
          \u{20}      experiments merge --out FILE [--check-against-sequential] SHARD_FILE...\n\

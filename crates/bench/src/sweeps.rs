@@ -172,17 +172,9 @@ impl SweepGrid {
         &self,
         shard: ShardSpec,
         window: usize,
-        mut emit: impl FnMut(CellRecord),
+        emit: impl FnMut(CellRecord),
     ) {
-        let slice = shard.slice(&self.cells);
-        sweep_streaming_ordered(
-            slice,
-            window,
-            |_, cell| self.record(cell),
-            |_, record| emit(record),
-        )
-        // kset-lint: allow(panic-in-library): documented panicking contract — window == 0 is a caller bug, surfaced per the # Panics section
-        .expect("window >= 1 is the caller's contract");
+        self.sweep_range_streaming(shard.range(self.cells.len()), window, emit);
     }
 
     /// Sweeps exactly the cells of `range` (global indices), streaming

@@ -3,158 +3,18 @@
 //! harness.
 //!
 //! Every helper builds a [`SimEngine`] — the step-level substrate behind
-//! the unified [`Engine`] trait — and drives it to completion, so the same
-//! execution path serves one-off runs here and the Engine-generic harness
-//! code in `kset-bench`. [`run_engine`] is the substrate-agnostic core:
-//! it accepts *any* engine (the simulator or the lock-step executor of
-//! [`crate::sync::LockStep`]).
+//! the unified [`Engine`](kset_sim::Engine) trait — and drives it to
+//! completion with [`Engine::drive`](kset_sim::Engine::drive), the same
+//! loop every substrate runs. Scenario callers compile with
+//! `Scenario::to_sim`/`to_des` or
+//! [`to_lockstep`](crate::scenario::to_lockstep) and call
+//! [`Engine::drive_observed`](kset_sim::Engine::drive_observed)
+//! themselves.
 
-use kset_sim::observe::Observer;
-use kset_sim::sched::partition::{PartitionScheduler, ReleasePolicy};
 use kset_sim::sched::random::SeededRandom;
 use kset_sim::sched::round_robin::RoundRobin;
 use kset_sim::sched::Scheduler;
-use kset_sim::{
-    CrashPlan, Engine, NoOracle, Oracle, Process, ProcessSet, RunReport, RunStatus, Scenario,
-    ScenarioError, ScenarioProcess, SimEngine, Simulation,
-};
-
-use crate::scenario::{to_lockstep, ScenarioRounds};
-use crate::sync::SyncOutcome;
-use crate::task::Val;
-
-/// Drives any [`Engine`] to completion and returns its status — the
-/// substrate-agnostic execution entry point.
-pub fn run_engine<E: Engine>(engine: &mut E, max_units: u64) -> RunStatus {
-    engine.drive(max_units)
-}
-
-/// Drives any [`Engine`] to completion, reporting every run event to
-/// `obs` — the observed form of [`run_engine`], and the one entry point
-/// through which runners, the differential harness and the sweep workers
-/// thread observers over *either* substrate.
-pub fn run_engine_observed<E: Engine>(
-    engine: &mut E,
-    max_units: u64,
-    obs: &mut dyn Observer<E::Output>,
-) -> RunStatus {
-    engine.drive_observed(max_units, obs)
-}
-
-/// Compiles a scenario to the step-level substrate and drives it to
-/// completion with `obs` attached — [`run_scenario_sim`] observed.
-///
-/// # Errors
-///
-/// Returns the scenario's first [`ScenarioError`] if it fails validation.
-pub fn run_scenario_sim_observed<P: ScenarioProcess>(
-    scenario: &Scenario,
-    obs: &mut dyn Observer<P::Output>,
-) -> Result<RunReport<P::Output>, ScenarioError> {
-    let mut engine = scenario.to_sim::<P>()?;
-    let status = run_engine_observed(&mut engine, scenario.max_units, obs);
-    Ok(engine.report(status.stop))
-}
-
-/// Compiles a scenario to the round-level substrate and runs its scheduled
-/// rounds with `obs` attached — [`run_scenario_lockstep`] observed.
-///
-/// # Errors
-///
-/// Returns the scenario's first [`ScenarioError`] if it fails validation.
-pub fn run_scenario_lockstep_observed<P: ScenarioRounds>(
-    scenario: &Scenario,
-    obs: &mut dyn Observer<Val>,
-) -> Result<SyncOutcome, ScenarioError> {
-    let mut engine = to_lockstep::<P>(scenario)?;
-    run_engine_observed(&mut engine, scenario.rounds as u64, obs);
-    Ok(engine.outcome())
-}
-
-/// Compiles a scenario to the discrete-event substrate and drives it to
-/// completion with `obs` attached — [`run_scenario_des`] observed.
-///
-/// # Errors
-///
-/// Returns the scenario's first [`ScenarioError`] if it fails validation.
-pub fn run_scenario_des_observed<P: ScenarioProcess>(
-    scenario: &Scenario,
-    obs: &mut dyn Observer<P::Output>,
-) -> Result<RunReport<P::Output>, ScenarioError> {
-    let mut engine = scenario.to_des::<P>()?;
-    let status = run_engine_observed(&mut engine, scenario.max_units, obs);
-    Ok(engine.report(status.stop))
-}
-
-/// Compiles a scenario to the discrete-event substrate
-/// ([`kset_sim::des::DesEngine`]) and drives it to completion within the
-/// scenario's unit budget: the timed family runs natively, every other
-/// family through the unit→time embedding.
-///
-/// # Errors
-///
-/// Returns the scenario's first [`ScenarioError`] if it fails validation.
-pub fn run_scenario_des<P: ScenarioProcess>(
-    scenario: &Scenario,
-) -> Result<RunReport<P::Output>, ScenarioError> {
-    let mut engine = scenario.to_des::<P>()?;
-    Ok(engine.drive_to_report(scenario.max_units))
-}
-
-/// Compiles a scenario to the step-level substrate and drives it to
-/// completion within the scenario's unit budget.
-///
-/// # Errors
-///
-/// Returns the scenario's first [`ScenarioError`] if it fails validation.
-pub fn run_scenario_sim<P: ScenarioProcess>(
-    scenario: &Scenario,
-) -> Result<RunReport<P::Output>, ScenarioError> {
-    let mut engine = scenario.to_sim::<P>()?;
-    Ok(engine.drive_to_report(scenario.max_units))
-}
-
-/// Compiles a scenario to the round-level substrate and runs its scheduled
-/// rounds.
-///
-/// # Errors
-///
-/// Returns the scenario's first [`ScenarioError`] if it fails validation.
-pub fn run_scenario_lockstep<P: ScenarioRounds>(
-    scenario: &Scenario,
-) -> Result<SyncOutcome, ScenarioError> {
-    let mut engine = to_lockstep::<P>(scenario)?;
-    engine.drive(scenario.rounds as u64);
-    Ok(engine.outcome())
-}
-
-/// Builds the [`SimEngine`] for an oracle-backed algorithm and scheduler.
-pub fn engine_with_oracle<P, O, S>(
-    inputs: Vec<P::Input>,
-    oracle: O,
-    plan: CrashPlan,
-    sched: S,
-) -> SimEngine<P, O, S>
-where
-    P: Process,
-    P::Fd: std::hash::Hash,
-    O: Oracle<Sample = P::Fd>,
-    S: Scheduler<P::Msg>,
-{
-    // kset-lint: allow(unchecked-capacity): convenience builder mirroring Simulation::with_oracle's documented panicking contract for oversized input vectors
-    SimEngine::new(Simulation::with_oracle(inputs, oracle, plan), sched)
-}
-
-fn drive_to_report<P, O, S>(mut engine: SimEngine<P, O, S>, max_steps: u64) -> RunReport<P::Output>
-where
-    P: Process,
-    P::Fd: std::hash::Hash,
-    O: Oracle<Sample = P::Fd>,
-    S: Scheduler<P::Msg>,
-{
-    let status = run_engine(&mut engine, max_steps);
-    engine.report(status.stop)
-}
+use kset_sim::{CrashPlan, NoOracle, Oracle, Process, RunReport, SimEngine, Simulation};
 
 /// Runs an oracle-less algorithm under fair round-robin scheduling.
 pub fn run_round_robin<P>(
@@ -165,10 +25,7 @@ pub fn run_round_robin<P>(
 where
     P: Process<Fd = ()>,
 {
-    drive_to_report(
-        engine_with_oracle::<P, _, _>(inputs, NoOracle, plan, RoundRobin::new()),
-        max_steps,
-    )
+    run_round_robin_with_oracle::<P, _>(inputs, NoOracle, plan, max_steps)
 }
 
 /// Runs an oracle-less algorithm under seeded random scheduling.
@@ -181,11 +38,7 @@ pub fn run_seeded<P>(
 where
     P: Process<Fd = ()>,
 {
-    let sched = SeededRandom::new(seed).with_fairness_window(16);
-    drive_to_report(
-        engine_with_oracle::<P, _, _>(inputs, NoOracle, plan, sched),
-        max_steps,
-    )
+    run_seeded_with_oracle::<P, _>(inputs, NoOracle, plan, seed, max_steps)
 }
 
 /// Runs an algorithm with a failure-detector oracle under round-robin.
@@ -200,10 +53,7 @@ where
     P::Fd: std::hash::Hash,
     O: Oracle<Sample = P::Fd>,
 {
-    drive_to_report(
-        engine_with_oracle::<P, _, _>(inputs, oracle, plan, RoundRobin::new()),
-        max_steps,
-    )
+    run_with::<P, _, _>(inputs, oracle, plan, RoundRobin::new(), max_steps)
 }
 
 /// Runs an algorithm with a failure-detector oracle under seeded random
@@ -221,49 +71,27 @@ where
     O: Oracle<Sample = P::Fd>,
 {
     let sched = SeededRandom::new(seed).with_fairness_window(16);
-    drive_to_report(
-        engine_with_oracle::<P, _, _>(inputs, oracle, plan, sched),
-        max_steps,
-    )
+    run_with::<P, _, _>(inputs, oracle, plan, sched, max_steps)
 }
 
-/// Runs an oracle-less algorithm under the partitioning adversary: messages
-/// between blocks are delayed until every alive process decided, then
-/// delivered.
-pub fn run_partitioned<P>(
-    inputs: Vec<P::Input>,
-    blocks: Vec<ProcessSet>,
-    plan: CrashPlan,
-    max_steps: u64,
-) -> RunReport<P::Output>
-where
-    P: Process<Fd = ()>,
-{
-    let sched = PartitionScheduler::new(blocks, ReleasePolicy::AfterAllDecided);
-    drive_to_report(
-        engine_with_oracle::<P, _, _>(inputs, NoOracle, plan, sched),
-        max_steps,
-    )
-}
-
-/// As [`run_partitioned`], with an oracle.
-pub fn run_partitioned_with_oracle<P, O>(
+/// Builds the [`SimEngine`] for an algorithm, oracle and scheduler and
+/// drives it to its report.
+fn run_with<P, O, S>(
     inputs: Vec<P::Input>,
     oracle: O,
-    blocks: Vec<ProcessSet>,
     plan: CrashPlan,
+    sched: S,
     max_steps: u64,
 ) -> RunReport<P::Output>
 where
     P: Process,
     P::Fd: std::hash::Hash,
     O: Oracle<Sample = P::Fd>,
+    S: Scheduler<P::Msg>,
 {
-    let sched = PartitionScheduler::new(blocks, ReleasePolicy::AfterAllDecided);
-    drive_to_report(
-        engine_with_oracle::<P, _, _>(inputs, oracle, plan, sched),
-        max_steps,
-    )
+    // kset-lint: allow(unchecked-capacity): convenience runner mirroring Simulation::with_oracle's documented panicking contract for oversized input vectors
+    let sim: Simulation<P, O> = Simulation::with_oracle(inputs, oracle, plan);
+    SimEngine::new(sim, sched).drive_to_report(max_steps)
 }
 
 #[cfg(test)]
@@ -272,7 +100,8 @@ mod tests {
     use crate::algorithms::naive::DecideOwn;
     use crate::algorithms::two_stage::{two_stage_inputs, TwoStage};
     use crate::task::distinct_proposals;
-    use kset_sim::ProcessId;
+    use kset_sim::sched::partition::{PartitionScheduler, ReleasePolicy};
+    use kset_sim::{Engine, ProcessId, ProcessSet};
 
     fn pid(i: usize) -> ProcessId {
         ProcessId::new(i)
@@ -308,12 +137,14 @@ mod tests {
         // block decides among its own values.
         let n = 4;
         let blocks: Vec<ProcessSet> = vec![[pid(0), pid(1)].into(), [pid(2), pid(3)].into()];
-        let report = run_partitioned::<TwoStage>(
-            two_stage_inputs(2, &distinct_proposals(n)),
-            blocks,
-            CrashPlan::none(),
-            100_000,
+        let mut engine = SimEngine::new(
+            Simulation::<TwoStage, _>::new(
+                two_stage_inputs(2, &distinct_proposals(n)),
+                CrashPlan::none(),
+            ),
+            PartitionScheduler::new(blocks, ReleasePolicy::AfterAllDecided),
         );
+        let report = engine.drive_to_report(100_000);
         assert!(report.all_correct_decided());
         assert_eq!(report.decisions[0], Some(0));
         assert_eq!(report.decisions[2], Some(2));
@@ -322,22 +153,21 @@ mod tests {
 
     #[test]
     fn engine_runner_is_substrate_agnostic() {
-        // The same run_engine entry point drives both substrates.
+        // The same drive entry point runs both substrates.
         use crate::algorithms::floodmin::{floodmin_rounds, FloodMin};
         use crate::sync::LockStep;
-        use kset_sim::sched::round_robin::RoundRobin;
-        use kset_sim::{SimEngine, Simulation, StopReason};
+        use kset_sim::StopReason;
 
         let mut sim_engine = SimEngine::new(
             Simulation::<DecideOwn, _>::new(distinct_proposals(3), CrashPlan::none()),
             RoundRobin::new(),
         );
-        let status = run_engine(&mut sim_engine, 100);
+        let status = sim_engine.drive(100);
         assert_eq!(status.stop, StopReason::AllCorrectDecided);
 
         let procs = FloodMin::system(&distinct_proposals(3), 0, 1);
         let mut lockstep = LockStep::new(procs, floodmin_rounds(0, 1), &[]);
-        let status = run_engine(&mut lockstep, 100);
+        let status = lockstep.drive(100);
         assert_eq!(status.stop, StopReason::AllCorrectDecided);
         assert_eq!(lockstep.distinct_decisions().len(), 1);
     }

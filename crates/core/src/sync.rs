@@ -223,13 +223,9 @@ impl<P: RoundProcess> LockStep<P> {
         }
     }
 
-    /// Executes one full round (send phase, then receive phase).
-    fn execute_round(&mut self) {
-        self.execute_round_observed(&mut NoObserver);
-    }
-
-    /// Executes one full round, reporting the round's typed events to
-    /// `obs` — per the round-substrate contract of [`kset_sim::observe`]:
+    /// Executes one full round (send phase, then receive phase), reporting
+    /// the round's typed events to `obs` — per the round-substrate
+    /// contract of [`kset_sim::observe`]:
     /// one [`SendEvent`] per `(sender, receiver)` pair of the send phase
     /// (a crashing sender's omitted deliveries appear as `dropped` sends,
     /// so *transmitted* counts agree with the step substrate), a
@@ -243,8 +239,8 @@ impl<P: RoundProcess> LockStep<P> {
     /// fingerprint fields of its send/deliver events are `None`. `time` on
     /// every event is the 1-based round number.
     ///
-    /// The unobserved [`LockStep::advance`] is this method with a
-    /// [`NoObserver`], monomorphized away.
+    /// The unobserved path is this method with a [`NoObserver`],
+    /// monomorphized away.
     fn execute_round_observed<Ob>(&mut self, obs: &mut Ob)
     where
         Ob: Observer<Val> + ?Sized,
@@ -334,14 +330,6 @@ impl<P: RoundProcess> Engine for LockStep<P> {
         self.procs.len()
     }
 
-    fn advance(&mut self) -> bool {
-        if self.round >= self.max_rounds {
-            return false;
-        }
-        self.execute_round();
-        true
-    }
-
     fn advance_observed(&mut self, obs: &mut dyn Observer<Val>) -> bool {
         if self.round >= self.max_rounds {
             return false;
@@ -350,9 +338,8 @@ impl<P: RoundProcess> Engine for LockStep<P> {
             self.execute_round_observed(obs);
         } else {
             // One virtual check instead of one virtual call per event:
-            // the monomorphized no-op path keeps observed-but-no-op
-            // drives at parity with plain `drive`.
-            self.execute_round();
+            // unobserved drives run the monomorphized no-op path.
+            self.execute_round_observed(&mut NoObserver);
         }
         true
     }
@@ -795,14 +782,17 @@ mod tests {
         let mut engine = LockStep::new(procs, 2, &[]);
         assert_eq!(Engine::n(&engine), 3);
         assert!(!engine.done());
-        assert!(engine.advance());
+        assert!(engine.advance_observed(&mut NoObserver));
         assert_eq!(engine.round(), 1);
         assert_eq!(engine.units(), 1);
         assert!(engine.decisions().iter().all(Option::is_some));
         let status = engine.drive(10);
         assert_eq!(status.stop, StopReason::AllCorrectDecided);
         assert!(engine.done());
-        assert!(!engine.advance(), "no rounds beyond the schedule");
+        assert!(
+            !engine.advance_observed(&mut NoObserver),
+            "no rounds beyond the schedule"
+        );
         let out = engine.outcome();
         assert_eq!(out.rounds, 2);
         assert_eq!(engine.distinct_decisions().len(), 1);

@@ -57,9 +57,11 @@
 //!   explicit GST, and crashes strike at timed instants. Sparse
 //!   schedules skip idle time instead of burning steps.
 //!
-//! `Engine` exposes `advance`/`done`/`decisions`/`drive`, so runners
-//! ([`core::runner`]), the experiment harness and the benches drive any
-//! substrate through one API; the bounded explorer ([`sim::explore`])
+//! A substrate implements `Engine::advance_observed` (one unit) plus
+//! `done`/`decisions`; the trait provides the one drive loop,
+//! `drive_observed`, and `drive` = `drive_observed` with a `NoObserver`.
+//! So runners ([`core::runner`]), the experiment harness and the benches
+//! drive any substrate through one API; the bounded explorer ([`sim::explore`])
 //! additionally forks `Simulation` configurations directly for exhaustive
 //! search.
 //!

@@ -329,20 +329,6 @@ where
         }
     }
 
-    /// The unobserved dispatch entry point: pops wake-ups until one
-    /// produces a process step (or the heap drains). Monomorphizes the
-    /// no-op observer away, exactly like the step substrate's unobserved
-    /// path.
-    fn dispatch(&mut self) -> bool {
-        self.dispatch_with(&mut NoObserver)
-    }
-
-    /// The observed dispatch entry point: as [`DesEngine::dispatch`],
-    /// reporting every event of the executed step to `obs`.
-    fn dispatch_observed(&mut self, obs: &mut dyn Observer<P::Output>) -> bool {
-        self.dispatch_with(obs)
-    }
-
     /// Pops heap entries until one tick yields a process step. Stale
     /// entries (popped time ≠ the component's `next_tick`) are lazily
     /// skipped; bookkeeping ticks (fabric releases, crash strikes,
@@ -517,19 +503,11 @@ where
         self.sim.n()
     }
 
-    fn advance(&mut self) -> bool {
-        let progressed = self.dispatch();
-        if progressed {
-            self.units += 1;
-        }
-        progressed
-    }
-
     fn advance_observed(&mut self, obs: &mut dyn Observer<P::Output>) -> bool {
         let progressed = if obs.observes_events() {
-            self.dispatch_observed(obs)
+            self.dispatch_with(obs)
         } else {
-            self.dispatch()
+            self.dispatch_with(&mut NoObserver)
         };
         if progressed {
             self.units += 1;
@@ -769,7 +747,10 @@ mod tests {
         // Step 1 at t=1, then pulses at t=4 and t=8.
         assert_eq!(engine.now(), VirtualTime::new(8));
         // After everyone decided the cadence retires and the heap drains.
-        assert!(!engine.advance(), "a drained heap is out of moves");
+        assert!(
+            !engine.advance_observed(&mut NoObserver),
+            "a drained heap is out of moves"
+        );
     }
 
     #[test]

@@ -678,14 +678,20 @@ where
 /// One execution substrate: something that advances a distributed
 /// computation unit by unit and reports decisions.
 ///
-/// The workspace has two substrates — the step-level [`Simulation`] (driven
-/// through [`SimEngine`], which pairs it with a scheduler) and the lock-step
+/// The workspace has three substrates — the step-level [`Simulation`]
+/// (driven through [`SimEngine`], which pairs it with a scheduler), the
+/// discrete-event [`DesEngine`](crate::des::DesEngine), and the lock-step
 /// round executor of `kset-core::sync` (its `LockStep` newtype). Runners,
 /// the experiment harness and the benches are written against this trait so
-/// either substrate plugs in.
+/// any substrate plugs in.
+///
+/// A substrate implements one per-unit method,
+/// [`Engine::advance_observed`]; [`Engine::drive_observed`] is the one
+/// drive loop, and [`Engine::drive`] is that loop with a [`NoObserver`].
 ///
 /// A *unit* is the substrate's natural quantum: one process step for the
-/// simulator, one full round for the lock-step executor.
+/// simulator (and the discrete-event engine), one full round for the
+/// lock-step executor.
 pub trait Engine {
     /// The decision value type.
     type Output: Clone + Ord;
@@ -693,20 +699,15 @@ pub trait Engine {
     /// System size `n`.
     fn n(&self) -> usize;
 
-    /// Executes one unit of work. Returns `false` when the substrate has no
-    /// further moves (scheduler exhausted / all rounds executed).
-    fn advance(&mut self) -> bool;
-
     /// Executes one unit of work, reporting its typed run events to `obs`
     /// (see [`crate::observe`] for the per-substrate emission contract).
+    /// Returns `false` when the substrate has no further moves (scheduler
+    /// exhausted / heap drained / all rounds executed).
     ///
-    /// The default ignores the observer — a substrate that has not grown
-    /// observation support still drives correctly, it just emits nothing.
-    /// Both workspace substrates override this.
-    fn advance_observed(&mut self, obs: &mut dyn Observer<Self::Output>) -> bool {
-        let _ = obs;
-        self.advance()
-    }
+    /// Every substrate checks [`Observer::observes_events`] once per unit
+    /// and runs a path monomorphized over [`NoObserver`] when it is
+    /// `false`, so an unobserved unit costs no virtual call per event.
+    fn advance_observed(&mut self, obs: &mut dyn Observer<Self::Output>) -> bool;
 
     /// Reports to `obs` the events that predate any drive (e.g. the
     /// step substrate's initially-dead crashes, recorded at construction).
@@ -736,49 +737,22 @@ pub trait Engine {
     }
 
     /// Drives the engine until [`Engine::done`], the substrate runs out of
-    /// moves, or `max_units` further units were executed.
-    ///
-    /// Deliberately *not* routed through [`Engine::drive_observed`] with a
-    /// [`NoObserver`]: the unobserved loop calls [`Engine::advance`]
-    /// directly, so substrates whose internal step is generic over the
-    /// observer (the simulator's `step_observed`) monomorphize the no-op
-    /// observer away instead of paying a virtual call per event. The
-    /// `e7_observe` bench group pins the two paths at parity.
+    /// moves, or `max_units` further units were executed: exactly
+    /// [`Engine::drive_observed`] with a [`NoObserver`].
     fn drive(&mut self, max_units: u64) -> RunStatus {
-        let mut steps = 0;
-        loop {
-            if self.done() {
-                return RunStatus {
-                    steps,
-                    stop: StopReason::AllCorrectDecided,
-                };
-            }
-            if steps >= max_units {
-                return RunStatus {
-                    steps,
-                    stop: StopReason::StepLimit,
-                };
-            }
-            if !self.advance() {
-                return RunStatus {
-                    steps,
-                    stop: StopReason::SchedulerDone,
-                };
-            }
-            steps += 1;
-        }
+        self.drive_observed(max_units, &mut NoObserver)
     }
 
-    /// Drives the engine exactly as [`Engine::drive`] does, reporting
-    /// every run event to `obs`: first [`Engine::announce_initial`], then
+    /// Drives the engine until [`Engine::done`], the substrate runs out of
+    /// moves, or `max_units` further units were executed, reporting every
+    /// run event to `obs`: first [`Engine::announce_initial`], then
     /// the per-unit events of [`Engine::advance_observed`], and finally
     /// one [`Observer::on_halt`] carrying the drive's status — emitted on
     /// every exit path, so an observer can always bracket a run.
     ///
-    /// This is the uniform observation entry point: the same call drives
-    /// the step-level simulator and the round-level lock-step executor,
+    /// This is the only drive loop: the same call drives every substrate,
     /// which is what lets runners, the differential harness and the sweep
-    /// workers thread one observer through either substrate.
+    /// workers thread one observer through any of them.
     fn drive_observed(
         &mut self,
         max_units: u64,
@@ -840,14 +814,6 @@ where
 
     fn n(&self) -> usize {
         self.sim.n()
-    }
-
-    fn advance(&mut self) -> bool {
-        let progressed = self.sim.step_once(self.sched, &mut NoObserver);
-        if progressed {
-            self.units += 1;
-        }
-        progressed
     }
 
     fn advance_observed(&mut self, obs: &mut dyn Observer<P::Output>) -> bool {
@@ -968,14 +934,6 @@ where
 
     fn n(&self) -> usize {
         self.sim.n()
-    }
-
-    fn advance(&mut self) -> bool {
-        let progressed = self.sim.step_once(&mut self.sched, &mut NoObserver);
-        if progressed {
-            self.units += 1;
-        }
-        progressed
     }
 
     fn advance_observed(&mut self, obs: &mut dyn Observer<P::Output>) -> bool {

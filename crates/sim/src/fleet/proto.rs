@@ -27,7 +27,7 @@
 use std::fmt;
 use std::ops::Range;
 
-use crate::sweep::record::{CellRecord, FormatVersion, SweepHeader};
+use crate::sweep::record::{CellRecord, SweepHeader};
 use crate::sweep::ShardSpec;
 
 /// The protocol magic every worker announces in its `hello` line. Version
@@ -221,8 +221,7 @@ impl Message {
                 // The record tail is canonical single-spaced `render_line`
                 // output; re-joining the tokens reconstructs it faithfully.
                 let tail = t[3..].join(" ");
-                let record =
-                    CellRecord::parse_line(&tail, FormatVersion::V2).map_err(|_| malformed())?;
+                let record = CellRecord::parse_line(&tail).ok_or_else(malformed)?;
                 Ok(Message::Progress {
                     lease: lease.parse().map_err(|_| malformed())?,
                     record,

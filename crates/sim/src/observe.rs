@@ -210,12 +210,12 @@ pub struct HaltEvent {
 pub trait Observer<V> {
     /// Whether this observer consumes per-event callbacks.
     ///
-    /// Engines use `false` to route an observed drive through their
+    /// Engines use `false` to route a unit through their
     /// statically-dispatched unobserved path — skipping event
-    /// construction and dispatch entirely, which is what keeps
-    /// `drive_observed(…, &mut NoObserver)` at parity with plain
-    /// [`drive`](crate::Engine::drive) (one virtual check per unit
-    /// instead of one per event). [`Observer::on_halt`] and the
+    /// construction and dispatch entirely, which is what makes
+    /// [`drive`](crate::Engine::drive) (`drive_observed` with a
+    /// [`NoObserver`]) cost one virtual check per unit instead of one
+    /// per event. [`Observer::on_halt`] and the
     /// initial-crash announcements are delivered either way. Defaults to
     /// `true`; only [`NoObserver`] answers `false`.
     fn observes_events(&self) -> bool {
@@ -267,8 +267,9 @@ pub trait Observer<V> {
 ///
 /// [`Engine::drive`](crate::Engine::drive) is exactly
 /// [`Engine::drive_observed`](crate::Engine::drive_observed) with a
-/// `NoObserver` on the statically-dispatched path, so observation support
-/// costs unobserved runs nothing (the `e7_observe` bench group pins this).
+/// `NoObserver`, which every substrate runs on its statically-dispatched
+/// path, so observation support costs unobserved runs one virtual check
+/// per unit.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NoObserver;
 

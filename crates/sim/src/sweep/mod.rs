@@ -17,16 +17,16 @@
 //!   seed from a grid seed and the cell index, so "cell 17 of grid 42" is
 //!   the same scenario on every machine and at every thread count.
 //!
-//! Parallelism uses `std::thread::scope` with one stride of the cell list
-//! per worker thread (the environment vendors no rayon). Beyond one host,
-//! the grid shards across processes under the same contract:
+//! Parallelism comes from one executor, [`sweep_streaming_ordered`]
+//! ([`stream`]): `std::thread::scope` workers pulling cells off a shared
+//! counter and delivering `(index, result)` to a sink in cell order,
+//! holding at most a window of results (the environment vendors no
+//! rayon). [`sweep`] is its collecting form. Beyond one host, the grid
+//! shards across processes under the same contract:
 //!
 //! * [`ShardSpec`] ([`shard`]) — deterministic, validated cell→shard
 //!   assignment as contiguous ranges over the emitted index space; cell
 //!   indices and seeds are globally stable regardless of shard count.
-//! * [`sweep_streaming`] / [`sweep_streaming_ordered`] ([`stream`]) —
-//!   bounded-memory runners delivering `(index, result)` to a sink as
-//!   cells complete, instead of materializing the grid.
 //! * [`CellRecord`] / [`ShardFile`] / [`merge`] ([`record`]) — the
 //!   plain-text per-shard result format and its coverage-checked merge,
 //!   whose output is byte-identical to a sequential sweep's.
@@ -48,7 +48,6 @@
 
 use std::fmt;
 use std::num::NonZeroUsize;
-use std::thread;
 
 use crate::ids::{CapacityError, ProcessSet};
 
@@ -59,11 +58,11 @@ pub mod stream;
 
 pub use batched::sweep_batched;
 pub use record::{
-    merge, CellLineError, CellRecord, FormatVersion, MergeError, Observation, ParseError,
-    PartialShardFile, ShardFile, SweepHeader,
+    merge, CellRecord, MergeError, Observation, ParseError, PartialShardFile, ShardFile,
+    SweepHeader,
 };
 pub use shard::{ShardError, ShardSpec};
-pub use stream::{sweep_streaming, sweep_streaming_ordered, StreamError};
+pub use stream::{sweep_streaming_ordered, StreamError};
 
 /// One cell of an `(n, f, k)` scale grid, with its deterministic seed.
 ///
@@ -220,61 +219,22 @@ pub fn sweep_seq<C, R>(cells: &[C], worker: impl Fn(usize, &C) -> R) -> Vec<R> {
 }
 
 /// Runs `worker` over every cell in parallel, returning results in cell
-/// order.
-///
-/// Threads process strided slices of the cell list (`i % threads == t`), so
-/// no work queue or locking is involved; results are reassembled in input
-/// order before returning. With a deterministic worker the output equals
+/// order: the collecting form of [`sweep_streaming_ordered`], with a window
+/// of the whole grid. With a deterministic worker the output equals
 /// [`sweep_seq`]'s exactly.
+///
+/// # Panics
+///
+/// Re-raises the first panic of `worker` with its own payload.
 pub fn sweep<C, R>(cells: &[C], worker: impl Fn(usize, &C) -> R + Sync) -> Vec<R>
 where
     C: Sync,
     R: Send,
 {
-    let threads = thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1)
-        .min(cells.len().max(1));
-    if threads <= 1 || cells.len() <= 1 {
-        return sweep_seq(cells, worker);
-    }
-    let worker = &worker;
-    let mut strides: Vec<Vec<(usize, R)>> = thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                scope.spawn(move || {
-                    cells
-                        .iter()
-                        .enumerate()
-                        .skip(t)
-                        .step_by(threads)
-                        .map(|(i, c)| (i, worker(i, c)))
-                        .collect::<Vec<(usize, R)>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            // kset-lint: allow(panic-in-library): propagating a worker panic at join keeps a failed cell loud; swallowing it would silently drop part of the grid
-            .map(|h| h.join().expect("sweep worker panicked"))
-            .collect()
-    });
-    // Reassemble in cell order by *index*, not by interleave position: a
-    // stride bug then loses results loudly (a hole, caught below) instead of
-    // silently permuting them in release builds.
-    let mut slots: Vec<Option<R>> = Vec::with_capacity(cells.len());
-    slots.resize_with(cells.len(), || None);
-    for (i, r) in strides.iter_mut().flat_map(|s| s.drain(..)) {
-        assert!(i < slots.len(), "worker produced an out-of-range index {i}");
-        assert!(slots[i].is_none(), "cell {i} produced two results");
-        slots[i] = Some(r);
-    }
-    slots
-        .into_iter()
-        .enumerate()
-        // kset-lint: allow(panic-in-library): deliberate loud hole-check — a reassembly gap must abort the sweep rather than silently permute records
-        .map(|(i, slot)| slot.unwrap_or_else(|| panic!("cell {i} produced no result")))
-        .collect()
+    let mut out = Vec::with_capacity(cells.len());
+    let window = NonZeroUsize::new(cells.len()).unwrap_or(NonZeroUsize::MIN);
+    stream::stream_ordered(cells, window, worker, |_, r| out.push(r));
+    out
 }
 
 /// Maps every cell of a [`scale_grid`] to a concrete
@@ -402,6 +362,20 @@ mod tests {
             sc.validate().expect("grid scenarios are valid");
         }
         assert!(scenario_grid(&[ProcessSet::CAPACITY + 1], &[1], &[1], 9).is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "worker boom")]
+    fn worker_panic_keeps_its_own_payload() {
+        // The worker's panic re-raises as itself, not wrapped in a generic
+        // join failure, so a failed cell names its own cause.
+        let cells: Vec<u32> = (0..64).collect();
+        sweep(&cells, |i, &c| {
+            if i == 37 {
+                panic!("worker boom");
+            }
+            c
+        });
     }
 
     #[test]

@@ -1,25 +1,21 @@
 //! Bounded-memory streaming sweeps: results flow to a sink as cells
 //! complete, instead of materializing the whole grid in a `Vec`.
 //!
-//! Two variants, both `std::mpsc` under `std::thread::scope` (no rayon):
+//! [`sweep_streaming_ordered`] is the workspace's one thread-spawning
+//! sweep executor (`std::mpsc` under `std::thread::scope`; no rayon).
+//! It delivers results in **cell order** without holding the grid: a
+//! worker may only *start* cell `i` once fewer than `window` cells
+//! separate it from the next cell the sink expects, so at most `window`
+//! results exist outside the sink at any instant — the reorder stash can
+//! never grow past the in-flight window, however slow the straggler cell
+//! is. [`sweep`](super::sweep) is its collecting form.
 //!
-//! * [`sweep_streaming`] delivers `(index, result)` in **completion
-//!   order**. Backpressure is the channel: at most `window + threads`
-//!   results exist outside the sink at any instant.
-//! * [`sweep_streaming_ordered`] restores **cell order** without holding
-//!   the grid: a worker may only *start* cell `i` once fewer than `window`
-//!   cells separate it from the next cell the sink expects, so at most
-//!   `window` results exist outside the sink at any instant — the reorder
-//!   stash can never grow past the in-flight window, however slow the
-//!   straggler cell is.
-//!
-//! Peak memory of either variant is therefore bounded by the in-flight
-//! window, not the grid size; a million-cell grid streams through a
-//! `window`-sized buffer. With a deterministic worker,
-//! [`sweep_streaming_ordered`] invokes the sink on exactly the sequence
-//! `(i, sweep_seq(cells, worker)[i])` for `i = 0, 1, …` — the property the
-//! shard files of [`record`](super::record) and the merge gate in CI rely
-//! on.
+//! Peak memory is therefore bounded by the in-flight window, not the grid
+//! size; a million-cell grid streams through a `window`-sized buffer.
+//! With a deterministic worker the sink sees exactly the sequence
+//! `(i, sweep_seq(cells, worker)[i])` for `i = 0, 1, …` — the property
+//! the shard files of [`record`](super::record) and the merge gate in CI
+//! rely on.
 //!
 //! # The window contract
 //!
@@ -80,76 +76,6 @@ fn worker_threads(cells: usize) -> usize {
         .min(cells.max(1))
 }
 
-/// Streams `worker(i, &cells[i])` results to `sink` in **completion
-/// order**, holding at most `window + threads` undelivered results.
-///
-/// The sink runs on the calling thread. Cell indices are the positions in
-/// `cells` (pass a [`ShardSpec`](super::ShardSpec) slice and add
-/// `range.start`, or read the global index off the cell itself as
-/// [`GridCell`](super::GridCell) does, when sweeping a shard of a larger
-/// grid). Every index in `0..cells.len()` is delivered exactly once; the
-/// *order* is whatever the thread schedule produced, so use
-/// [`sweep_streaming_ordered`] when the consumer needs cell order.
-///
-/// `window >= cells.len()` is a documented no-op bound: the channel never
-/// fills (see the [module docs](self)).
-///
-/// # Errors
-///
-/// [`StreamError::ZeroWindow`] if `window == 0`, before any thread
-/// spawns or any cell runs.
-///
-/// # Panics
-///
-/// Propagates panics from `worker`.
-pub fn sweep_streaming<C, R>(
-    cells: &[C],
-    window: usize,
-    worker: impl Fn(usize, &C) -> R + Sync,
-    mut sink: impl FnMut(usize, R),
-) -> Result<(), StreamError>
-where
-    C: Sync,
-    R: Send,
-{
-    if window == 0 {
-        return Err(StreamError::ZeroWindow);
-    }
-    let threads = worker_threads(cells.len());
-    if threads <= 1 || cells.len() <= 1 {
-        for (i, c) in cells.iter().enumerate() {
-            sink(i, worker(i, c));
-        }
-        return Ok(());
-    }
-    let next = AtomicUsize::new(0);
-    // A window beyond the grid buys nothing: clamp the channel bound so
-    // `window >= cells.len()` is a true no-op (and absurd windows do not
-    // ask the channel to reserve absurd capacity).
-    let (tx, rx) = mpsc::sync_channel::<(usize, R)>(window.min(cells.len()));
-    let (next, worker) = (&next, &worker);
-    thread::scope(|scope| {
-        for _ in 0..threads {
-            let tx = tx.clone();
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= cells.len() {
-                    break;
-                }
-                let r = worker(i, &cells[i]);
-                if tx.send((i, r)).is_err() {
-                    break; // receiver gone: the sink panicked; stop quietly
-                }
-            });
-        }
-        drop(tx);
-        for (i, r) in rx {
-            sink(i, r);
-        }
-    });
-    Ok(())
-}
-
 /// Shuts the sweep down when the consumer stops consuming (normally or by
 /// unwinding out of a panicking sink): raises the shutdown flag and wakes
 /// every gate-blocked worker, so `thread::scope` can always join.
@@ -174,8 +100,7 @@ impl Drop for GateOpener<'_> {
 /// Streams `worker(i, &cells[i])` results to `sink` in **cell order**,
 /// holding at most `window` undelivered results.
 ///
-/// The order-restoring wrapper over the streaming runner: workers are
-/// *gated*, not just buffered — cell `i` may only start once
+/// Workers are *gated*, not just buffered — cell `i` may only start once
 /// `i < emitted + window` (where `emitted` counts sink deliveries) — so
 /// the reorder stash plus the channel never exceed `window` results even
 /// when cell `emitted` itself is the slowest of the grid. `window = 1`
@@ -188,8 +113,8 @@ impl Drop for GateOpener<'_> {
 /// identical to a sequential sweep's, whatever the thread count.
 ///
 /// `window >= cells.len()` is a documented no-op bound: the gate never
-/// blocks, and the sweep equals the unwindowed parallel runner (see the
-/// [module docs](self)).
+/// blocks, and the sweep equals the unwindowed parallel runner
+/// [`sweep`](super::sweep) (see the [module docs](self)).
 ///
 /// # Errors
 ///
@@ -198,27 +123,40 @@ impl Drop for GateOpener<'_> {
 ///
 /// # Panics
 ///
-/// Propagates panics from `worker`.
+/// Re-raises the first panic of `worker` or `sink` with its own payload.
 pub fn sweep_streaming_ordered<C, R>(
     cells: &[C],
     window: usize,
     worker: impl Fn(usize, &C) -> R + Sync,
-    mut sink: impl FnMut(usize, R),
+    sink: impl FnMut(usize, R),
 ) -> Result<(), StreamError>
 where
     C: Sync,
     R: Send,
 {
-    if window == 0 {
-        return Err(StreamError::ZeroWindow);
-    }
+    let window = NonZeroUsize::new(window).ok_or(StreamError::ZeroWindow)?;
+    stream_ordered(cells, window, worker, sink);
+    Ok(())
+}
+
+/// [`sweep_streaming_ordered`] with the window already validated.
+pub(super) fn stream_ordered<C, R>(
+    cells: &[C],
+    window: NonZeroUsize,
+    worker: impl Fn(usize, &C) -> R + Sync,
+    mut sink: impl FnMut(usize, R),
+) where
+    C: Sync,
+    R: Send,
+{
+    let window = window.get();
     // More workers than the window can never run: they would gate-block.
     let threads = worker_threads(cells.len()).min(window);
     if threads <= 1 || cells.len() <= 1 {
         for (i, c) in cells.iter().enumerate() {
             sink(i, worker(i, c));
         }
-        return Ok(());
+        return;
     }
     let next = AtomicUsize::new(0);
     let emitted = Mutex::new(0usize);
@@ -290,34 +228,12 @@ where
             cvar.notify_all();
         }
     });
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::super::{sweep_seq, GridCell};
     use super::*;
-
-    #[test]
-    fn completion_order_covers_every_cell_once() {
-        let cells: Vec<u64> = (0..300).collect();
-        let mut seen: Vec<Option<u64>> = vec![None; cells.len()];
-        sweep_streaming(
-            &cells,
-            4,
-            |i, &c| c + i as u64,
-            |i, r| {
-                assert!(seen[i].is_none(), "cell {i} delivered twice");
-                seen[i] = Some(r);
-            },
-        )
-        .unwrap();
-        let expect = sweep_seq(&cells, |i, &c| c + i as u64);
-        assert_eq!(
-            seen.into_iter().map(Option::unwrap).collect::<Vec<_>>(),
-            expect
-        );
-    }
 
     #[test]
     fn ordered_equals_sequential_in_order() {
@@ -427,17 +343,6 @@ mod tests {
             assert_eq!(worker_ran.load(Ordering::SeqCst), 0, "no cell may run");
         };
         run(&|| {
-            sweep_streaming(
-                &cells,
-                0,
-                |_, &c| {
-                    worker_ran.fetch_add(1, Ordering::SeqCst);
-                    c
-                },
-                |_, _| {},
-            )
-        });
-        run(&|| {
             sweep_streaming_ordered(
                 &cells,
                 0,
@@ -449,15 +354,14 @@ mod tests {
             )
         });
         let empty: Vec<u32> = Vec::new();
-        run(&|| sweep_streaming(&empty, 0, |_, &c| c, |_, _| {}));
         run(&|| sweep_streaming_ordered(&empty, 0, |_, &c| c, |_, _| {}));
     }
 
     #[test]
     fn oversized_windows_are_documented_no_ops() {
         // window >= cells.len(): the gate never blocks and the sweep is
-        // exactly the unwindowed parallel run — same coverage, and (for
-        // the ordered variant) the same sequential delivery order.
+        // exactly the unwindowed parallel run — same coverage and the same
+        // sequential delivery order.
         let cells: Vec<u64> = (0..50).rev().collect();
         let f = |i: usize, c: &u64| c.wrapping_mul(11).wrapping_add(i as u64);
         let seq = sweep_seq(&cells, f);
@@ -469,17 +373,6 @@ mod tests {
             })
             .unwrap();
             assert_eq!(got, seq, "window {window}");
-
-            let mut seen: Vec<Option<u64>> = vec![None; cells.len()];
-            sweep_streaming(&cells, window, f, |i, r| {
-                assert!(seen[i].is_none());
-                seen[i] = Some(r);
-            })
-            .unwrap();
-            assert_eq!(
-                seen.into_iter().map(Option::unwrap).collect::<Vec<_>>(),
-                seq
-            );
         }
     }
 
@@ -494,7 +387,6 @@ mod tests {
     #[test]
     fn empty_grid_streams_nothing() {
         let cells: Vec<u32> = Vec::new();
-        sweep_streaming(&cells, 3, |_, &c| c, |_, _| panic!("no cells to deliver")).unwrap();
         sweep_streaming_ordered(&cells, 3, |_, &c| c, |_, _| panic!("no cells to deliver"))
             .unwrap();
     }

@@ -1,14 +1,12 @@
-//! Property tests for shard-file format evolution: v1 files keep parsing
-//! under the v2 parser with identical semantics, and any truncation of a
-//! v2 file resumes — recomputing only the owed cells — to bytes identical
-//! to the uninterrupted sweep, through the merge gate included.
+//! Property tests for resumable shard files: any truncation of a shard
+//! file resumes — recomputing only the owed cells — to bytes identical to
+//! the uninterrupted sweep, through the merge gate included.
 
 use proptest::prelude::*;
 
 use kset_sim::observe::EventCounts;
 use kset_sim::sweep::{
-    cell_seed, merge, CellRecord, FormatVersion, Observation, PartialShardFile, ShardFile,
-    ShardSpec, SweepHeader,
+    cell_seed, merge, CellRecord, Observation, PartialShardFile, ShardFile, ShardSpec, SweepHeader,
 };
 
 /// The deterministic per-cell "sweep worker" of these tests: digest and
@@ -48,18 +46,11 @@ fn record(grid_seed: u64, index: usize) -> CellRecord {
     }
 }
 
-fn shard_file(grid_seed: u64, total: usize, spec: ShardSpec, version: FormatVersion) -> ShardFile {
-    let header =
-        SweepHeader::new("props", grid_seed, "synthetic", total, spec).with_version(version);
+fn shard_file(grid_seed: u64, total: usize, spec: ShardSpec) -> ShardFile {
+    let header = SweepHeader::new("props", grid_seed, "synthetic", total, spec);
     let records = header
         .range()
-        .map(|index| {
-            let mut r = record(grid_seed, index);
-            if version == FormatVersion::V1 {
-                r.obs = None; // v1 has no observation grammar
-            }
-            r
-        })
+        .map(|index| record(grid_seed, index))
         .collect();
     ShardFile { header, records }
 }
@@ -67,40 +58,7 @@ fn shard_file(grid_seed: u64, total: usize, spec: ShardSpec, version: FormatVers
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Every valid v1 shard file parses under the (shared) v2-era parser
-    /// with identical semantics: same records, the version preserved, the
-    /// re-rendering byte-identical.
-    #[test]
-    fn valid_v1_files_parse_with_identical_semantics(
-        grid_seed in 0u64..1_000_000,
-        total in 0usize..60,
-        shard_count in 1usize..6,
-        shard_index in 0usize..6,
-    ) {
-        let spec = ShardSpec::new(shard_index % shard_count, shard_count).unwrap();
-        let v1 = shard_file(grid_seed, total, spec, FormatVersion::V1);
-        let text = v1.render();
-        prop_assert!(text.starts_with("kset-sweep v1\n"));
-
-        let parsed = ShardFile::parse(&text).expect("valid v1 files parse");
-        prop_assert_eq!(&parsed, &v1, "identical records and header");
-        prop_assert_eq!(parsed.render(), text, "re-render is byte-identical");
-
-        // The same bytes with only the magic bumped parse as v2 with the
-        // same record semantics (the cell grammar is shared).
-        let bumped = text.replacen("kset-sweep v1", "kset-sweep v2", 1);
-        let as_v2 = ShardFile::parse(&bumped).expect("magic bump stays parseable");
-        prop_assert_eq!(as_v2.header.version, FormatVersion::V2);
-        prop_assert_eq!(&as_v2.records, &v1.records);
-
-        // And the partial parser accepts complete v1 files as the
-        // degenerate partial.
-        let partial = PartialShardFile::parse(&text).expect("complete v1 accepted");
-        prop_assert!(partial.is_complete());
-        prop_assert_eq!(partial.records, v1.records);
-    }
-
-    /// Cut a v2 shard file at ANY byte past its header: the partial
+    /// Cut a shard file at ANY byte past its header: the partial
     /// parses, owes exactly the un-recorded tail, and recomputing only
     /// that remainder rebuilds the uninterrupted bytes — which then merge
     /// (with the untouched sibling shards) to the sequential file.
@@ -113,7 +71,7 @@ proptest! {
     ) {
         let victim_index = (grid_seed as usize) % shard_count;
         let spec = ShardSpec::new(victim_index, shard_count).unwrap();
-        let full = shard_file(grid_seed, total, spec, FormatVersion::V2);
+        let full = shard_file(grid_seed, total, spec);
         let reference = full.render();
 
         // Cut anywhere strictly past the 3-line header.
@@ -144,12 +102,11 @@ proptest! {
                 if i == victim_index {
                     rebuilt.clone()
                 } else {
-                    shard_file(grid_seed, total, ShardSpec::new(i, shard_count).unwrap(),
-                        FormatVersion::V2)
+                    shard_file(grid_seed, total, ShardSpec::new(i, shard_count).unwrap())
                 }
             })
             .collect();
-        let sequential = shard_file(grid_seed, total, ShardSpec::FULL, FormatVersion::V2);
+        let sequential = shard_file(grid_seed, total, ShardSpec::FULL);
         let merged = merge(&shards).expect("full partition merges");
         prop_assert_eq!(merged.render(), sequential.render());
     }

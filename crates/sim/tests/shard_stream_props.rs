@@ -11,8 +11,8 @@
 use proptest::prelude::*;
 
 use kset_sim::sweep::{
-    cell_seed, merge, scale_grid, sweep_seq, sweep_streaming, sweep_streaming_ordered, CellRecord,
-    GridCell, ShardFile, ShardSpec,
+    cell_seed, merge, scale_grid, sweep, sweep_seq, sweep_streaming_ordered, CellRecord, GridCell,
+    ShardFile, ShardSpec,
 };
 
 /// Builds a duplicate-free axis from a raw draw (values are offsets into a
@@ -69,7 +69,7 @@ proptest! {
         prop_assert_eq!(rebuilt, cells);
     }
 
-    /// Merging the per-shard `sweep_streaming` outputs equals `sweep_seq`
+    /// Merging the per-shard `sweep_streaming_ordered` outputs equals `sweep_seq`
     /// of the full grid — as records, and byte-for-byte as files.
     #[test]
     fn merged_streaming_shards_equal_sequential_sweep(
@@ -112,24 +112,16 @@ proptest! {
         prop_assert_eq!(merged.render(), sequential.render(), "byte-identical files");
     }
 
-    /// The completion-order streaming runner delivers every cell exactly
-    /// once with the result `sweep_seq` computes, whatever the window.
+    /// The collecting parallel runner returns exactly what `sweep_seq`
+    /// computes, in cell order, for every grid length.
     #[test]
-    fn unordered_streaming_covers_the_grid(
+    fn parallel_sweep_covers_the_grid(
         len in 0usize..200,
-        window in 1usize..12,
         salt in 0u64..1_000_000,
     ) {
         let cells: Vec<u64> = (0..len as u64).map(|c| c ^ salt).collect();
         let f = |i: usize, c: &u64| c.wrapping_mul(31).wrapping_add(i as u64);
-        let expect = sweep_seq(&cells, f);
-        let mut seen: Vec<Option<u64>> = vec![None; cells.len()];
-        sweep_streaming(&cells, window, f, |i, r| {
-            assert!(seen[i].is_none(), "cell {i} delivered twice");
-            seen[i] = Some(r);
-        }).unwrap();
-        let got: Vec<u64> = seen.into_iter().map(Option::unwrap).collect();
-        prop_assert_eq!(got, expect);
+        prop_assert_eq!(sweep(&cells, f), sweep_seq(&cells, f));
     }
 }
 
