@@ -584,7 +584,8 @@ fn bench_des(c: &mut Criterion) {
     });
     group.bench_function("des_timed_dense_1", |b| {
         b.iter(|| {
-            let mut engine = DesEngine::timed(make_sim(), Latency::fixed(1), 0, 42);
+            let mut engine = DesEngine::timed(make_sim(), Latency::fixed(1), 0, 42)
+                .expect("well-formed latency");
             engine.drive(u64::MAX);
             assert_eq!(engine.distinct_decisions().len(), 1);
             black_box(engine.units())
@@ -592,7 +593,8 @@ fn bench_des(c: &mut Criterion) {
     });
     group.bench_function("des_timed_sparse_2048", |b| {
         b.iter(|| {
-            let mut engine = DesEngine::timed(make_sim(), Latency::fixed(delta), 0, 42);
+            let mut engine = DesEngine::timed(make_sim(), Latency::fixed(delta), 0, 42)
+                .expect("well-formed latency");
             engine.drive(u64::MAX);
             assert_eq!(engine.distinct_decisions().len(), 1);
             // The whole point: 2n units regardless of the latency bound.

@@ -230,8 +230,8 @@ where
     }
 }
 
-/// Differential conformance between the compilations of one scenario —
-/// step-level, round-level, and discrete-event.
+/// Differential conformance between the two independent compilations of
+/// one scenario — step-level and round-level.
 pub mod differential {
     use std::collections::BTreeSet;
     use std::hash::Hash;
@@ -300,40 +300,6 @@ pub mod differential {
             /// Round-level verdict.
             lockstep: bool,
         },
-        /// The discrete-event substrate decided different value sets than
-        /// the round-level reference.
-        DesDistinctValues {
-            /// Distinct decisions on the discrete-event substrate.
-            des: BTreeSet<Val>,
-            /// Distinct decisions on the round-level substrate.
-            lockstep: BTreeSet<Val>,
-        },
-        /// A correct process decided differently on the discrete-event
-        /// substrate than on the round-level reference.
-        DesDecision {
-            /// The diverging process.
-            pid: ProcessId,
-            /// Its discrete-event decision.
-            des: Option<Val>,
-            /// Its round-level decision.
-            lockstep: Option<Val>,
-        },
-        /// Only one of discrete-event and round-level terminated.
-        DesTermination {
-            /// Discrete-event termination verdict.
-            des: bool,
-            /// Round-level termination verdict.
-            lockstep: bool,
-        },
-        /// Discrete-event and round-level disagree on k-Agreement.
-        DesKAgreement {
-            /// The scenario's agreement degree.
-            k: usize,
-            /// Discrete-event verdict.
-            des: bool,
-            /// Round-level verdict.
-            lockstep: bool,
-        },
     }
 
     /// The full differential report for one scenario.
@@ -352,12 +318,7 @@ pub mod differential {
         pub sim: SubstrateOutcome,
         /// The round-level outcome.
         pub lockstep: SubstrateOutcome,
-        /// The discrete-event outcome (the unit→time embedding of the
-        /// scenario's schedule family).
-        pub des: SubstrateOutcome,
-        /// Every observed disagreement (empty = substrates agree). Both
-        /// pairings are recorded: step-vs-round in the `sim`-carrying
-        /// variants, discrete-event-vs-round in the `Des*` variants.
+        /// Every observed disagreement (empty = substrates agree).
         pub divergences: Vec<Divergence>,
     }
 
@@ -368,20 +329,18 @@ pub mod differential {
         }
     }
 
-    /// Compiles `scenario` to all three substrates — step-level, round
-    /// executor, and the discrete-event engine's unit→time embedding —
-    /// drives each through the [`Engine`] trait, and compares decision
-    /// values, per-process decisions of correct processes, k-Agreement,
-    /// and termination (each non-reference substrate against the
-    /// round-level reference).
+    /// Compiles `scenario` to the two independent substrates — the
+    /// step-level engine and the round executor — drives each through the
+    /// [`Engine`] trait, and compares decision values, per-process
+    /// decisions of correct processes, k-Agreement, and termination.
     ///
     /// Divergence is *reported*, never fatal: under asynchronous schedule
     /// families the step-level run legitimately sees incomplete round
-    /// inboxes and the report flags the resulting disagreements. The
-    /// embedded discrete-event run replays the step-level schedule
-    /// exactly, so its divergences always mirror the step substrate's.
+    /// inboxes and the report flags the resulting disagreements.
     ///
-    /// The natively timed family
+    /// The discrete-event engine is not a third leg here: on every unit
+    /// family [`Scenario::to_des`](kset_sim::Scenario::to_des) *is* the
+    /// step-level engine. Its natively timed family
     /// ([`ScheduleFamily::Timed`](kset_sim::ScheduleFamily)) has no
     /// step-level compilation, so `check` rejects it — compare a timed
     /// run against the round executor directly (see
@@ -396,7 +355,7 @@ pub mod differential {
         P: ScenarioRounds + Hash + 'static,
         P::Msg: PartialEq + Hash + 'static,
     {
-        check_observed::<P>(scenario, &mut NoObserver, &mut NoObserver, &mut NoObserver)
+        check_observed::<P>(scenario, &mut NoObserver, &mut NoObserver)
     }
 
     /// As [`check`], with one observer attached to each substrate's run —
@@ -413,7 +372,6 @@ pub mod differential {
         scenario: &Scenario,
         sim_obs: &mut dyn Observer<Val>,
         lockstep_obs: &mut dyn Observer<Val>,
-        des_obs: &mut dyn Observer<Val>,
     ) -> Result<DiffReport, ScenarioError>
     where
         P: ScenarioRounds + Hash + 'static,
@@ -428,10 +386,6 @@ pub mod differential {
         let mut lockstep_engine = to_lockstep::<P>(scenario)?;
         lockstep_engine.drive_observed(scenario.rounds as u64, lockstep_obs);
         let lockstep = outcome(&lockstep_engine, correct);
-
-        let mut des_engine = scenario.to_des::<RoundAdapter<P>>()?;
-        des_engine.drive_observed(scenario.max_units, des_obs);
-        let des = outcome(&des_engine, correct);
 
         let mut divergences = Vec::new();
         if sim.distinct != lockstep.distinct {
@@ -468,39 +422,6 @@ pub mod differential {
             });
         }
 
-        // The same four checks for the discrete-event compilation against
-        // the round-level reference.
-        if des.distinct != lockstep.distinct {
-            divergences.push(Divergence::DesDistinctValues {
-                des: des.distinct.clone(),
-                lockstep: lockstep.distinct.clone(),
-            });
-        }
-        for pid in correct {
-            let (d, l) = (des.decisions[pid.index()], lockstep.decisions[pid.index()]);
-            if d != l {
-                divergences.push(Divergence::DesDecision {
-                    pid,
-                    des: d,
-                    lockstep: l,
-                });
-            }
-        }
-        if des.terminated != lockstep.terminated {
-            divergences.push(Divergence::DesTermination {
-                des: des.terminated,
-                lockstep: lockstep.terminated,
-            });
-        }
-        let ka_des = des.k_agreement(scenario.k);
-        if ka_des != ka_lock {
-            divergences.push(Divergence::DesKAgreement {
-                k: scenario.k,
-                des: ka_des,
-                lockstep: ka_lock,
-            });
-        }
-
         Ok(DiffReport {
             n: scenario.n,
             f: scenario.f,
@@ -508,7 +429,6 @@ pub mod differential {
             lock_step_family: scenario.is_lock_step(),
             sim,
             lockstep,
-            des,
             divergences,
         })
     }

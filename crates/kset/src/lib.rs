@@ -55,7 +55,8 @@
 //!   wake-ups: messages carry real delivery times drawn from seeded
 //!   per-link [`sim::des::Latency`] models, partial synchrony has an
 //!   explicit GST, and crashes strike at timed instants. Sparse
-//!   schedules skip idle time instead of burning steps.
+//!   schedules skip idle time instead of burning steps. On a unit
+//!   schedule family it *is* the step engine: one drive loop, not two.
 //!
 //! A substrate implements `Engine::advance_observed` (one unit) plus
 //! `done`/`decisions`; the trait provides the one drive loop,
@@ -70,14 +71,16 @@
 //! detector choice) compiles to *any* substrate —
 //! [`sim::Scenario::to_sim`] on the step side,
 //! [`sim::Scenario::to_des`] on the discrete-event side (unit families
-//! run under a unit→time embedding; the time-native
+//! compile to the `to_sim` engine itself; the time-native
 //! `ScheduleFamily::Timed` family compiles *only* here), and
 //! [`core::scenario::to_lockstep`] (via [`core::scenario::RoundAdapter`])
 //! on the round side — and
-//! [`core::scenario::differential::check`] compares the three runs
-//! ([`core::scenario::differential::DiffReport`]), turning the multi-substrate
-//! architecture into a tested equivalence. See ARCHITECTURE.md for the
-//! crash-description mapping.
+//! [`core::scenario::differential::check`] compares the two independent
+//! runs, step and round
+//! ([`core::scenario::differential::DiffReport`]), turning the
+//! multi-substrate architecture into a tested equivalence. Timed runs are
+//! checked against the round executor directly. See ARCHITECTURE.md for
+//! the crash-description mapping.
 //!
 //! Every process set in the workspace — partition blocks, quorum/leader
 //! samples, faulty/correct sets, delivery filters — is a

@@ -9,7 +9,7 @@
 //! | rule | contract |
 //! |------|----------|
 //! | `nondeterminism-in-record-path` | no `HashMap`/`HashSet`, ambient clocks, or ambient RNG in the modules that produce `kset-sweep` records, digests, and scenario lines |
-//! | `observer-bypass` | engine driving outside `engine.rs`/`sync.rs` must not call the `step`/`execute_round` internals that skip the `_observed` unified event stream |
+//! | `observer-bypass` | engine driving outside `engine.rs`/`sync.rs`/`des/engine.rs` must not call the `step`/`step_once`/`execute_round_observed`/`tick`/`dispatch_with` internals that skip the `_observed` unified event stream |
 //! | `unchecked-capacity` | panicking `ProcessSet`/`WideSet`/`Simulation`/`LockStep` constructors are flagged where `try_*` + `CapacityError` forms exist |
 //! | `panic-in-library` | `unwrap()`/`expect()`/`panic!` in non-test library code needs a justification allow |
 //! | `shim-drift` | `crates/shims` public items must stay within the checked-in upstream-API-subset manifest |

@@ -273,11 +273,10 @@ fn observer_bypass_hits(scanned: &ScannedFile, hits: &mut Vec<(usize, &'static s
     const DRIVERS: &[&str] = &[
         "step",
         "step_observed",
-        "execute_round",
+        "step_once",
         "execute_round_observed",
         "tick",
-        "dispatch",
-        "dispatch_observed",
+        "dispatch_with",
     ];
     for &ident in DRIVERS {
         for at in ident_occurrences(&scanned.lexed.masked, ident) {
@@ -411,8 +410,7 @@ mod tests {
         // The discrete-event substrate's drivers are bypass vectors too…
         for src in [
             "fn f(e: &mut E) { e.tick(now, &mut acts); }\n",
-            "fn f(e: &mut E) { e.dispatch(); }\n",
-            "fn f(e: &mut E) { e.dispatch_observed(&mut obs); }\n",
+            "fn f(e: &mut E) { e.dispatch_with(&mut obs); }\n",
         ] {
             assert!(
                 run("crates/sim/src/explore.rs", src)

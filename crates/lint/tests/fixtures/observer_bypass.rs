@@ -10,7 +10,7 @@ pub const S: &str = "sim.step(x)";
 
 pub fn ok(sim: &mut Sim) {
     // kset-lint: allow(observer-bypass): fixture proves suppression works
-    sim.execute_round();
+    sim.execute_round_observed(&mut obs);
 }
 
 pub fn not_a_call(step: usize) -> usize {
@@ -19,6 +19,6 @@ pub fn not_a_call(step: usize) -> usize {
 
 pub fn drive_des(engine: &mut DesEngine) {
     engine.tick(now, &mut actions);
-    engine.dispatch();
-    engine.dispatch_observed(&mut obs);
+    engine.dispatch_with(&mut obs);
+    sim.step_once(&mut sched, &mut obs);
 }

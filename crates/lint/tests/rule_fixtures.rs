@@ -118,8 +118,8 @@ fn observer_bypass_fires_at_expected_lines() {
             (rules::OBSERVER_BYPASS, 22, Status::Violation),
             (rules::OBSERVER_BYPASS, 23, Status::Violation),
         ],
-        "expected .step/.step_observed at 4/5, allowed .execute_round at 13, \
-         the DES drivers .tick/.dispatch/.dispatch_observed at 21/22/23, and \
+        "expected .step/.step_observed at 4/5, allowed .execute_round_observed at 13, \
+         the drivers .tick/.dispatch_with/.step_once at 21/22/23, and \
          nothing from the comment, the string, or the bare `step` ident: {diags:#?}"
     );
 }
@@ -134,7 +134,7 @@ fn observer_bypass_exempts_home_files() {
         let diags = run_fixture(
             home,
             TargetKind::Lib,
-            "pub fn f(sim: &mut Sim) {\n    sim.step(0);\n    sim.dispatch();\n}\n",
+            "pub fn f(sim: &mut Sim) {\n    sim.step(0);\n    sim.dispatch_with(&mut obs);\n}\n",
         );
         assert!(
             diags.iter().all(|d| d.rule != rules::OBSERVER_BYPASS),

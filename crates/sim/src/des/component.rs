@@ -10,35 +10,30 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use super::{ComponentId, VirtualTime};
 use crate::ids::{MsgId, ProcessId};
-use crate::sched::Scheduler;
 
 /// An effect requested by a ticking [`Component`], applied by the engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Action {
+pub(crate) enum Action {
     /// Run one atomic step of the process, delivering whatever messages
-    /// the fabric has released to it (timed mode).
+    /// the fabric has released to it.
     StepProcess(ProcessId),
-    /// Burn one unit of the embedded scheduler (embedded mode).
-    SchedulerUnit,
     /// The fabric released an in-flight message: make it deliverable and
-    /// wake its destination (timed mode).
+    /// wake its destination.
     Deliver {
         /// The destination process.
         dst: ProcessId,
         /// The released message.
         id: MsgId,
     },
-    /// The crash schedule struck: the process takes no further steps
-    /// (timed mode).
+    /// The crash schedule struck: the process takes no further steps.
     Crash(ProcessId),
     /// The detector cadence pulsed: wake every alive, undecided process
-    /// for a failure-detector sampling step (timed mode).
+    /// for a failure-detector sampling step.
     Pulse,
 }
 
 /// One participant in the discrete-event loop: a process clock, the link
-/// fabric, the crash schedule, the detector cadence, or the embedded unit
-/// clock.
+/// fabric, the crash schedule, or the detector cadence.
 ///
 /// The contract with the engine:
 ///
@@ -52,7 +47,7 @@ pub enum Action {
 ///   `tick` always observes `now == next_tick`.
 /// * [`Component::tick`] consumes everything due at `now` and pushes the
 ///   requested effects into `actions`; the engine applies them in order.
-pub trait Component {
+pub(crate) trait Component {
     /// This component's registry id (the heap key's third element).
     fn id(&self) -> ComponentId;
 
@@ -69,7 +64,7 @@ pub trait Component {
 /// step. Message arrivals and detector pulses insert wake times; ticking
 /// collapses everything due into one [`Action::StepProcess`].
 #[derive(Debug, Clone)]
-pub struct ProcClock {
+pub(crate) struct ProcClock {
     id: ComponentId,
     pid: ProcessId,
     agenda: BTreeSet<VirtualTime>,
@@ -77,7 +72,7 @@ pub struct ProcClock {
 
 impl ProcClock {
     /// A clock for `pid` with an empty agenda.
-    pub fn new(id: ComponentId, pid: ProcessId) -> Self {
+    pub(crate) fn new(id: ComponentId, pid: ProcessId) -> Self {
         ProcClock {
             id,
             pid,
@@ -87,12 +82,12 @@ impl ProcClock {
 
     /// Schedules a wake-up at `at`; returns whether it is new. The caller
     /// pushes the matching heap entry.
-    pub fn wake_at(&mut self, at: VirtualTime) -> bool {
+    pub(crate) fn wake_at(&mut self, at: VirtualTime) -> bool {
         self.agenda.insert(at)
     }
 
     /// Drops the whole agenda (the process crashed).
-    pub fn retire(&mut self) {
+    pub(crate) fn retire(&mut self) {
         self.agenda.clear();
     }
 }
@@ -119,8 +114,8 @@ impl Component for ProcClock {
 /// The link fabric: every in-flight message keyed by its arrival instant
 /// (plus a routing slot so same-instant arrivals release in routing
 /// order). Ticking releases everything that has arrived.
-#[derive(Debug, Clone, Default)]
-pub struct LinkFabric {
+#[derive(Debug, Clone)]
+pub(crate) struct LinkFabric {
     id: ComponentId,
     in_flight: BTreeMap<(VirtualTime, u64), (ProcessId, MsgId)>,
     next_slot: u64,
@@ -128,7 +123,7 @@ pub struct LinkFabric {
 
 impl LinkFabric {
     /// An empty fabric.
-    pub fn new(id: ComponentId) -> Self {
+    pub(crate) fn new(id: ComponentId) -> Self {
         LinkFabric {
             id,
             in_flight: BTreeMap::new(),
@@ -138,15 +133,10 @@ impl LinkFabric {
 
     /// Puts message `id` for `dst` in flight, arriving at `at`. The
     /// caller pushes the matching heap entry.
-    pub fn route(&mut self, at: VirtualTime, dst: ProcessId, id: MsgId) {
+    pub(crate) fn route(&mut self, at: VirtualTime, dst: ProcessId, id: MsgId) {
         let slot = self.next_slot;
         self.next_slot += 1;
         self.in_flight.insert((at, slot), (dst, id));
-    }
-
-    /// Messages still in flight.
-    pub fn in_flight(&self) -> usize {
-        self.in_flight.len()
     }
 }
 
@@ -170,15 +160,15 @@ impl Component for LinkFabric {
 /// The timed crash plan: at each scheduled instant the named processes
 /// stop taking steps — crash-stop semantics, messages already in flight
 /// still arrive.
-#[derive(Debug, Clone, Default)]
-pub struct CrashSchedule {
+#[derive(Debug, Clone)]
+pub(crate) struct CrashSchedule {
     id: ComponentId,
     agenda: BTreeMap<VirtualTime, Vec<ProcessId>>,
 }
 
 impl CrashSchedule {
     /// An empty schedule.
-    pub fn new(id: ComponentId) -> Self {
+    pub(crate) fn new(id: ComponentId) -> Self {
         CrashSchedule {
             id,
             agenda: BTreeMap::new(),
@@ -187,13 +177,8 @@ impl CrashSchedule {
 
     /// Schedules `pid` to crash at `at`. The caller pushes the matching
     /// heap entry (or relies on construction-time priming).
-    pub fn schedule(&mut self, at: VirtualTime, pid: ProcessId) {
+    pub(crate) fn schedule(&mut self, at: VirtualTime, pid: ProcessId) {
         self.agenda.entry(at).or_default().push(pid);
-    }
-
-    /// Every process with a scheduled crash, in schedule order.
-    pub fn scheduled_pids(&self) -> impl Iterator<Item = ProcessId> + '_ {
-        self.agenda.values().flatten().copied()
     }
 }
 
@@ -219,7 +204,7 @@ impl Component for CrashSchedule {
 /// arrive. The engine disables the cadence once nobody is left to wake,
 /// letting the heap drain.
 #[derive(Debug, Clone)]
-pub struct DetectorCadence {
+pub(crate) struct DetectorCadence {
     id: ComponentId,
     period: u64,
     next: VirtualTime,
@@ -229,7 +214,7 @@ pub struct DetectorCadence {
 impl DetectorCadence {
     /// A cadence pulsing every `period` ticks (normalized to ≥ 1),
     /// starting at `period`.
-    pub fn new(id: ComponentId, period: u64) -> Self {
+    pub(crate) fn new(id: ComponentId, period: u64) -> Self {
         let period = period.max(1);
         DetectorCadence {
             id,
@@ -240,7 +225,7 @@ impl DetectorCadence {
     }
 
     /// Stops all future pulses (nobody left to wake).
-    pub fn retire(&mut self) {
+    pub(crate) fn retire(&mut self) {
         self.live = false;
     }
 }
@@ -257,63 +242,6 @@ impl Component for DetectorCadence {
     fn tick(&mut self, now: VirtualTime, actions: &mut Vec<Action>) {
         actions.push(Action::Pulse);
         self.next = now.plus(self.period);
-    }
-}
-
-/// The embedded-mode unit clock: wakes at `t = 1, 2, 3, …`, burning one
-/// unit of the wrapped scheduler per tick. The engine re-arms it only
-/// while the scheduler keeps producing moves, so an exhausted scheduler
-/// drains the heap — the unit→time embedding of every existing schedule
-/// family.
-pub struct UnitClock<M> {
-    id: ComponentId,
-    sched: Box<dyn Scheduler<M>>,
-    next: Option<VirtualTime>,
-}
-
-impl<M> UnitClock<M> {
-    /// Wraps `sched`; the engine arms the first wake-up when priming.
-    pub fn new(id: ComponentId, sched: Box<dyn Scheduler<M>>) -> Self {
-        UnitClock {
-            id,
-            sched,
-            next: None,
-        }
-    }
-
-    /// Schedules the next unit at `at`. The caller pushes the matching
-    /// heap entry.
-    pub fn rearm(&mut self, at: VirtualTime) {
-        self.next = Some(at);
-    }
-
-    /// The wrapped scheduler, for the engine to consult.
-    pub fn scheduler_mut(&mut self) -> &mut dyn Scheduler<M> {
-        &mut *self.sched
-    }
-}
-
-impl<M> std::fmt::Debug for UnitClock<M> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("UnitClock")
-            .field("id", &self.id)
-            .field("next", &self.next)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<M> Component for UnitClock<M> {
-    fn id(&self) -> ComponentId {
-        self.id
-    }
-
-    fn next_tick(&self) -> Option<VirtualTime> {
-        self.next
-    }
-
-    fn tick(&mut self, _now: VirtualTime, actions: &mut Vec<Action>) {
-        self.next = None;
-        actions.push(Action::SchedulerUnit);
     }
 }
 
@@ -356,7 +284,6 @@ mod tests {
         fabric.route(VirtualTime::new(3), ProcessId::new(1), MsgId::new(11));
         fabric.route(VirtualTime::new(5), ProcessId::new(0), MsgId::new(12));
         assert_eq!(fabric.next_tick(), Some(VirtualTime::new(3)));
-        assert_eq!(fabric.in_flight(), 3);
         assert_eq!(
             run(&mut fabric, 5),
             vec![
@@ -384,10 +311,6 @@ mod tests {
         crashes.schedule(VirtualTime::new(2), ProcessId::new(0));
         crashes.schedule(VirtualTime::new(2), ProcessId::new(3));
         crashes.schedule(VirtualTime::new(7), ProcessId::new(1));
-        assert_eq!(
-            crashes.scheduled_pids().collect::<Vec<_>>(),
-            vec![ProcessId::new(0), ProcessId::new(3), ProcessId::new(1)]
-        );
         assert_eq!(
             run(&mut crashes, 2),
             vec![

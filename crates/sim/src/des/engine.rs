@@ -6,11 +6,10 @@
 //! [`Simulation::step_observed`], so the unified event stream is emitted
 //! here and nowhere rebuilt.
 
-use super::component::{
-    Action, Component, CrashSchedule, DetectorCadence, LinkFabric, ProcClock, UnitClock,
-};
-use super::{ComponentId, EventHeap, Latency, VirtualTime};
-use crate::engine::{Engine, RunReport, Simulation, StopReason};
+use super::component::{Action, Component, CrashSchedule, DetectorCadence, LinkFabric, ProcClock};
+use super::heap::EventHeap;
+use super::{ComponentId, Latency, VirtualTime};
+use crate::engine::{Engine, RunReport, SimEngine, Simulation, StopReason};
 use crate::ids::{MsgId, ProcessId, ProcessSet};
 use crate::observe::{
     CrashEvent, DecideEvent, DeliverEvent, FdSampleEvent, HaltEvent, NoObserver, Observer,
@@ -18,7 +17,8 @@ use crate::observe::{
 };
 use crate::oracle::Oracle;
 use crate::process::Process;
-use crate::sched::{Delivery, Scheduler};
+use crate::scenario::{ScenarioError, ScenarioScheduler};
+use crate::sched::Delivery;
 
 /// Observer combinator: forwards every event to `inner` unchanged while
 /// recording the step's *transmitted* sends (destination and message id)
@@ -68,20 +68,24 @@ impl<V, Ob: Observer<V> + ?Sized> Observer<V> for SendTap<'_, Ob> {
     }
 }
 
-/// The component registry of one drive mode.
+/// The two kinds of run behind one [`DesEngine`].
 #[derive(Debug)]
-enum Mode<M> {
-    /// Unit→time embedding: one clock component burning scheduler units.
-    Embedded(UnitClock<M>),
+enum Mode<P, O>
+where
+    P: Process,
+    O: Oracle<Sample = P::Fd>,
+{
+    /// A unit schedule family: the step engine itself.
+    Unit(SimEngine<P, O, ScenarioScheduler>),
     /// Arrival-driven execution with real delivery times.
-    Timed(Box<Timed>),
+    Timed(Timed<P, O>),
 }
 
-/// Timed-mode state: per-process clocks, the link fabric, the crash
-/// schedule, the optional detector cadence, and the released-but-unread
-/// message ids per process.
+/// The timed component registry: per-process clocks, the link fabric, the
+/// crash schedule, the optional detector cadence, and the
+/// released-but-unread message ids per process.
 #[derive(Debug)]
-struct Timed {
+struct Components {
     latency: Latency,
     gst: u64,
     seed: u64,
@@ -100,7 +104,7 @@ struct Timed {
     faulty: ProcessSet,
 }
 
-impl Timed {
+impl Components {
     fn component_mut(&mut self, cid: ComponentId) -> Option<&mut dyn Component> {
         let n = self.procs.len();
         let i = cid.index();
@@ -114,15 +118,32 @@ impl Timed {
     }
 }
 
+/// A timed run: the simulation, the event heap of component wake-ups and
+/// the virtual clock.
+#[derive(Debug)]
+struct Timed<P, O>
+where
+    P: Process,
+    O: Oracle<Sample = P::Fd>,
+{
+    sim: Simulation<P, O>,
+    heap: EventHeap,
+    now: VirtualTime,
+    units: u64,
+    primed: bool,
+    scratch: Vec<Action>,
+    parts: Box<Components>,
+}
+
 /// The discrete-event virtual-time substrate: a [`Simulation`] driven by
-/// an [`EventHeap`] of component wake-ups instead of a unit scheduler.
+/// an event heap of component wake-ups instead of a unit scheduler.
 ///
-/// See the [module docs](super) for the architecture and the two drive
-/// modes. Like [`SimEngine`](crate::SimEngine) it implements
-/// [`Engine`], so `drive`/`drive_observed` and every runner work
-/// unchanged; a *unit* is one process step in both modes (bookkeeping
-/// ticks — fabric releases, crash strikes, cadence pulses — are free,
-/// which is exactly the idle-skip advantage on sparse schedules).
+/// See the [module docs](super) for the architecture and the two kinds of
+/// run. Like [`SimEngine`] it implements [`Engine`], so
+/// `drive`/`drive_observed` and every runner work unchanged; a *unit* is
+/// one process step in both (bookkeeping ticks — fabric releases, crash
+/// strikes, cadence pulses — are free, which is exactly the idle-skip
+/// advantage on sparse schedules).
 ///
 /// # Examples
 ///
@@ -144,10 +165,11 @@ impl Timed {
 /// # }
 ///
 /// let sim: Simulation<Echo, _> = Simulation::new(vec![7, 7], CrashPlan::none());
-/// let mut engine = DesEngine::timed(sim, Latency::uniform(1, 4), 0, 42);
+/// let mut engine = DesEngine::timed(sim, Latency::uniform(1, 4), 0, 42)?;
 /// let status = engine.drive(100);
 /// assert_eq!(status.stop, StopReason::AllCorrectDecided);
 /// assert_eq!(engine.distinct_decisions().len(), 1);
+/// # Ok::<(), kset_sim::ScenarioError>(())
 /// ```
 #[derive(Debug)]
 pub struct DesEngine<P, O>
@@ -155,13 +177,7 @@ where
     P: Process,
     O: Oracle<Sample = P::Fd>,
 {
-    sim: Simulation<P, O>,
-    heap: EventHeap,
-    now: VirtualTime,
-    units: u64,
-    primed: bool,
-    scratch: Vec<Action>,
-    mode: Mode<P::Msg>,
+    mode: Mode<P, O>,
 }
 
 impl<P, O> DesEngine<P, O>
@@ -170,20 +186,12 @@ where
     O: Oracle<Sample = P::Fd>,
     P::Fd: std::hash::Hash,
 {
-    /// The unit→time embedding: wraps `sched` in a clock component waking
-    /// at `t = 1, 2, 3, …`, one scheduler unit per tick. The run replays
-    /// the exact step sequence [`SimEngine`](crate::SimEngine) would
-    /// execute with the same simulation and scheduler — decisions, units
-    /// and the Observer stream all agree.
-    pub fn embedded(sim: Simulation<P, O>, sched: impl Scheduler<P::Msg> + 'static) -> Self {
+    /// A unit-family run: `engine` itself, behind the discrete-event type.
+    /// [`Scenario::to_des`](crate::Scenario::to_des) builds it from
+    /// [`Scenario::to_sim`](crate::Scenario::to_sim).
+    pub(crate) fn unit(engine: SimEngine<P, O, ScenarioScheduler>) -> Self {
         DesEngine {
-            sim,
-            heap: EventHeap::new(),
-            now: VirtualTime::ZERO,
-            units: 0,
-            primed: false,
-            scratch: Vec::new(),
-            mode: Mode::Embedded(UnitClock::new(ComponentId::new(0), Box::new(sched))),
+            mode: Mode::Unit(engine),
         }
     }
 
@@ -193,48 +201,61 @@ where
     /// (in process order) and afterwards wake exactly when messages
     /// arrive (plus any [`DesEngine::with_detector_cadence`] pulses).
     ///
-    /// `latency` is normalized to a well-formed model (`1 ≤ lo ≤ hi`);
-    /// see [`Latency::is_well_formed`] for why zero-latency links are
-    /// ruled out.
-    pub fn timed(sim: Simulation<P, O>, latency: Latency, gst: u64, seed: u64) -> Self {
+    /// # Errors
+    ///
+    /// [`ScenarioError::BadSchedule`] when `latency` is not well-formed
+    /// (`1 ≤ lo ≤ hi`); see [`Latency::is_well_formed`] for why
+    /// zero-latency links are ruled out.
+    pub fn timed(
+        sim: Simulation<P, O>,
+        latency: Latency,
+        gst: u64,
+        seed: u64,
+    ) -> Result<Self, ScenarioError> {
+        if !latency.is_well_formed() {
+            return Err(ScenarioError::BadSchedule {
+                reason: "latency model must satisfy 1 ≤ lo ≤ hi",
+            });
+        }
         let n = sim.n();
         let faulty = sim.crash_plan().initially_dead_set();
-        DesEngine {
-            sim,
-            heap: EventHeap::new(),
-            now: VirtualTime::ZERO,
-            units: 0,
-            primed: false,
-            scratch: Vec::new(),
-            mode: Mode::Timed(Box::new(Timed {
-                latency: latency.normalized(),
-                gst,
-                seed,
-                procs: (0..n)
-                    .map(|i| ProcClock::new(ComponentId::new(i), ProcessId::new(i)))
-                    .collect(),
-                fabric: LinkFabric::new(ComponentId::new(n)),
-                crashes: CrashSchedule::new(ComponentId::new(n + 1)),
-                cadence: None,
-                ready: vec![Vec::new(); n],
-                struck: ProcessSet::new(),
-                faulty,
-            })),
-        }
+        Ok(DesEngine {
+            mode: Mode::Timed(Timed {
+                sim,
+                heap: EventHeap::new(),
+                now: VirtualTime::ZERO,
+                units: 0,
+                primed: false,
+                scratch: Vec::new(),
+                parts: Box::new(Components {
+                    latency,
+                    gst,
+                    seed,
+                    procs: (0..n)
+                        .map(|i| ProcClock::new(ComponentId::new(i), ProcessId::new(i)))
+                        .collect(),
+                    fabric: LinkFabric::new(ComponentId::new(n)),
+                    crashes: CrashSchedule::new(ComponentId::new(n + 1)),
+                    cadence: None,
+                    ready: vec![Vec::new(); n],
+                    struck: ProcessSet::new(),
+                    faulty,
+                }),
+            }),
+        })
     }
 
     /// Schedules a timed crash: `pid` takes no step at or after `at`
     /// (crash-stop — its earlier sends still arrive). Same-instant ties
-    /// resolve crash-first. No-op in embedded mode (unit schedules crash
+    /// resolve crash-first. No-op in a unit run (unit schedules crash
     /// through the [`CrashPlan`](crate::CrashPlan)) and for out-of-range
     /// pids.
     pub fn schedule_crash(&mut self, pid: ProcessId, at: VirtualTime) {
-        let n = self.sim.n();
-        if let Mode::Timed(tm) = &mut self.mode {
-            if pid.index() < n {
-                tm.crashes.schedule(at, pid);
-                tm.faulty.insert(pid);
-                self.heap.push(at, tm.crashes.id());
+        if let Mode::Timed(t) = &mut self.mode {
+            if pid.index() < t.sim.n() {
+                t.parts.crashes.schedule(at, pid);
+                t.parts.faulty.insert(pid);
+                t.heap.push(at, t.parts.crashes.id());
             }
         }
     }
@@ -248,37 +269,46 @@ where
 
     /// Enables the failure-detector cadence: every `period` ticks
     /// (normalized to ≥ 1), every alive undecided process is woken for a
-    /// detector-sampling step even if no message arrived. No-op in
-    /// embedded mode.
+    /// detector-sampling step even if no message arrived. No-op in a unit
+    /// run.
     #[must_use]
     pub fn with_detector_cadence(mut self, period: u64) -> Self {
-        if let Mode::Timed(tm) = &mut self.mode {
-            let n = tm.procs.len();
+        if let Mode::Timed(t) = &mut self.mode {
+            let n = t.parts.procs.len();
             let cadence = DetectorCadence::new(ComponentId::new(n + 2), period);
-            if self.primed {
+            if t.primed {
                 if let Some(at) = cadence.next_tick() {
-                    self.heap.push(at, cadence.id());
+                    t.heap.push(at, cadence.id());
                 }
             }
-            tm.cadence = Some(cadence);
+            t.parts.cadence = Some(cadence);
         }
         self
     }
 
     /// Read access to the wrapped simulation.
     pub fn simulation(&self) -> &Simulation<P, O> {
-        &self.sim
+        match &self.mode {
+            Mode::Unit(engine) => engine.simulation(),
+            Mode::Timed(t) => &t.sim,
+        }
     }
 
     /// Unwraps the engine back into the simulation.
     pub fn into_simulation(self) -> Simulation<P, O> {
-        self.sim
+        match self.mode {
+            Mode::Unit(engine) => engine.into_simulation(),
+            Mode::Timed(t) => t.sim,
+        }
     }
 
-    /// The current virtual-clock reading (the time of the last executed
-    /// tick).
+    /// The current virtual-clock reading: the time of the last executed
+    /// tick in a timed run, the unit count in a unit run.
     pub fn now(&self) -> VirtualTime {
-        self.now
+        match &self.mode {
+            Mode::Unit(engine) => VirtualTime::new(engine.units()),
+            Mode::Timed(t) => t.now,
+        }
     }
 
     /// The full run report of the wrapped simulation (trace included).
@@ -287,7 +317,7 @@ where
     /// simulation's crash plan, so they appear in the event stream (as
     /// crash events) but not in the report's failure pattern.
     pub fn report(&self, stop: StopReason) -> RunReport<P::Output> {
-        self.sim.report(stop)
+        self.simulation().report(stop)
     }
 
     /// Drives to completion and returns the report — the [`Engine`]
@@ -297,34 +327,49 @@ where
         self.report(status.stop)
     }
 
+    /// The engine that runs this instance's units.
+    fn inner(&self) -> &dyn Engine<Output = P::Output> {
+        match &self.mode {
+            Mode::Unit(engine) => engine,
+            Mode::Timed(t) => t,
+        }
+    }
+
+    /// Mutable form of [`DesEngine::inner`].
+    fn inner_mut(&mut self) -> &mut dyn Engine<Output = P::Output> {
+        match &mut self.mode {
+            Mode::Unit(engine) => engine,
+            Mode::Timed(t) => t,
+        }
+    }
+}
+
+impl<P, O> Timed<P, O>
+where
+    P: Process,
+    O: Oracle<Sample = P::Fd>,
+    P::Fd: std::hash::Hash,
+{
     /// Seeds the heap before the first tick: crash strikes first (so they
     /// win same-instant ties), then the cadence, then one wake per alive
     /// process at `t = 1` in process order — the sequence-number order the
     /// first wave pops in.
     fn prime(&mut self) {
         self.primed = true;
-        match &mut self.mode {
-            Mode::Embedded(clock) => {
-                let at = VirtualTime::new(1);
-                clock.rearm(at);
-                self.heap.push(at, clock.id());
+        let parts = &mut self.parts;
+        if let Some(at) = parts.crashes.next_tick() {
+            self.heap.push(at, parts.crashes.id());
+        }
+        if let Some(cadence) = &parts.cadence {
+            if let Some(at) = cadence.next_tick() {
+                self.heap.push(at, cadence.id());
             }
-            Mode::Timed(tm) => {
-                if let Some(at) = tm.crashes.next_tick() {
-                    self.heap.push(at, tm.crashes.id());
-                }
-                if let Some(cadence) = &tm.cadence {
-                    if let Some(at) = cadence.next_tick() {
-                        self.heap.push(at, cadence.id());
-                    }
-                }
-                let at = VirtualTime::new(1);
-                for i in 0..tm.procs.len() {
-                    if self.sim.is_alive(ProcessId::new(i)) {
-                        tm.procs[i].wake_at(at);
-                        self.heap.push(at, tm.procs[i].id());
-                    }
-                }
+        }
+        let at = VirtualTime::new(1);
+        for i in 0..parts.procs.len() {
+            if self.sim.is_alive(ProcessId::new(i)) {
+                parts.procs[i].wake_at(at);
+                self.heap.push(at, parts.procs[i].id());
             }
         }
     }
@@ -332,9 +377,9 @@ where
     /// Pops heap entries until one tick yields a process step. Stale
     /// entries (popped time ≠ the component's `next_tick`) are lazily
     /// skipped; bookkeeping ticks (fabric releases, crash strikes,
-    /// cadence pulses, exhausted-scheduler clock ticks) are processed
-    /// inline without counting as units. Returns `false` when the heap
-    /// drains — the substrate is out of moves.
+    /// cadence pulses) are processed inline without counting as units.
+    /// Returns `false` when the heap drains — the substrate is out of
+    /// moves.
     fn dispatch_with<Ob>(&mut self, obs: &mut Ob) -> bool
     where
         Ob: Observer<P::Output> + ?Sized,
@@ -348,30 +393,18 @@ where
             };
             let mut actions = std::mem::take(&mut self.scratch);
             actions.clear();
-            let ticked = {
-                let comp: Option<&mut dyn Component> = match &mut self.mode {
-                    Mode::Embedded(clock) => {
-                        if cid == Component::id(clock) {
-                            Some(clock)
-                        } else {
-                            None
-                        }
+            let ticked = match self.parts.component_mut(cid) {
+                Some(comp) if comp.next_tick() == Some(now) => {
+                    comp.tick(now, &mut actions);
+                    // Requeue the component's own next wake; external
+                    // wakes push their own entries at cause time.
+                    if let Some(next) = comp.next_tick() {
+                        self.heap.push(next, cid);
                     }
-                    Mode::Timed(tm) => tm.component_mut(cid),
-                };
-                match comp {
-                    Some(comp) if comp.next_tick() == Some(now) => {
-                        comp.tick(now, &mut actions);
-                        // Requeue the component's own next wake; external
-                        // wakes push their own entries at cause time.
-                        if let Some(next) = comp.next_tick() {
-                            self.heap.push(next, cid);
-                        }
-                        true
-                    }
-                    // Stale or unknown entry: lazy deletion.
-                    _ => false,
+                    true
                 }
+                // Stale or unknown entry: lazy deletion.
+                _ => false,
             };
             let stepped = if ticked {
                 self.now = now;
@@ -386,28 +419,17 @@ where
         }
     }
 
-    /// Applies one tick's actions; returns whether a process step (or an
-    /// embedded scheduler unit) was executed.
+    /// Applies one tick's actions; returns whether a process step was
+    /// executed.
     fn apply<Ob>(&mut self, now: VirtualTime, actions: &mut Vec<Action>, obs: &mut Ob) -> bool
     where
         Ob: Observer<P::Output> + ?Sized,
     {
+        let tm = &mut self.parts;
         let mut stepped = false;
         for action in actions.drain(..) {
-            match (&mut self.mode, action) {
-                (Mode::Embedded(clock), Action::SchedulerUnit) => {
-                    // One unit of the embedded scheduler — the exact
-                    // SimEngine semantics, including "picking a crashed
-                    // process still consumes the unit".
-                    if !self.sim.step_once(clock.scheduler_mut(), obs) {
-                        continue;
-                    }
-                    let at = now.next();
-                    clock.rearm(at);
-                    self.heap.push(at, Component::id(clock));
-                    stepped = true;
-                }
-                (Mode::Timed(tm), Action::StepProcess(pid)) => {
+            match action {
+                Action::StepProcess(pid) => {
                     if tm.struck.contains(pid) || !self.sim.is_alive(pid) {
                         continue;
                     }
@@ -435,7 +457,7 @@ where
                         }
                     }
                 }
-                (Mode::Timed(tm), Action::Deliver { dst, id }) => {
+                Action::Deliver { dst, id } => {
                     // A message reaching a crashed process vanishes.
                     if tm.struck.contains(dst) || !self.sim.is_alive(dst) {
                         continue;
@@ -445,7 +467,7 @@ where
                         self.heap.push(now, tm.procs[dst.index()].id());
                     }
                 }
-                (Mode::Timed(tm), Action::Crash(pid)) => {
+                Action::Crash(pid) => {
                     if tm.struck.contains(pid) || !self.sim.is_alive(pid) {
                         continue;
                     }
@@ -458,7 +480,7 @@ where
                         after_step: true,
                     });
                 }
-                (Mode::Timed(tm), Action::Pulse) => {
+                Action::Pulse => {
                     let mut woke = false;
                     for i in 0..tm.procs.len() {
                         let pid = ProcessId::new(i);
@@ -482,16 +504,13 @@ where
                         }
                     }
                 }
-                // A mode/action mismatch cannot be constructed: actions
-                // come from the mode's own components.
-                _ => {}
             }
         }
         stepped
     }
 }
 
-impl<P, O> Engine for DesEngine<P, O>
+impl<P, O> Engine for Timed<P, O>
 where
     P: Process,
     O: Oracle<Sample = P::Fd>,
@@ -520,12 +539,9 @@ where
     }
 
     fn done(&self) -> bool {
-        match &self.mode {
-            Mode::Embedded(_) => self.sim.all_correct_decided(),
-            Mode::Timed(tm) => ProcessId::all(self.sim.n())
-                .filter(|p| !tm.faulty.contains(*p))
-                .all(|p| self.sim.decision(p).is_some()),
-        }
+        ProcessId::all(self.sim.n())
+            .filter(|p| !self.parts.faulty.contains(*p))
+            .all(|p| self.sim.decision(p).is_some())
     }
 
     fn units(&self) -> u64 {
@@ -537,6 +553,41 @@ where
     }
 }
 
+/// Every method forwards to the engine of this instance's kind of run, so
+/// a unit run drives, counts and observes exactly as its [`SimEngine`].
+impl<P, O> Engine for DesEngine<P, O>
+where
+    P: Process,
+    O: Oracle<Sample = P::Fd>,
+    P::Fd: std::hash::Hash,
+{
+    type Output = P::Output;
+
+    fn n(&self) -> usize {
+        self.inner().n()
+    }
+
+    fn advance_observed(&mut self, obs: &mut dyn Observer<P::Output>) -> bool {
+        self.inner_mut().advance_observed(obs)
+    }
+
+    fn announce_initial(&self, obs: &mut dyn Observer<P::Output>) {
+        self.inner().announce_initial(obs);
+    }
+
+    fn done(&self) -> bool {
+        self.inner().done()
+    }
+
+    fn units(&self) -> u64 {
+        self.inner().units()
+    }
+
+    fn decisions(&self) -> Vec<Option<P::Output>> {
+        self.inner().decisions()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -545,7 +596,7 @@ mod tests {
     use crate::observe::EventCounter;
     use crate::process::{Effects, ProcessInfo};
     use crate::sched::round_robin::RoundRobin;
-    use crate::{Envelope, SimEngine};
+    use crate::Envelope;
     use std::collections::BTreeSet;
 
     /// Broadcasts its input on the first step, then decides the minimum
@@ -594,36 +645,58 @@ mod tests {
     }
 
     #[test]
-    fn embedded_mode_replays_the_sim_engine_run_exactly() {
+    fn unit_mode_forwards_to_the_step_engine() {
         let n = 5;
         let plan = CrashPlan::none().with_crash_after(
             ProcessId::new(1),
             2,
             crate::failure::Omission::KeepOnlyTo(ProcessSet::new()),
         );
-        let sim = || -> Simulation<MinFlood, _> { Simulation::new(inputs(n), plan.clone()) };
-        let mut reference = SimEngine::new(sim(), RoundRobin::new());
-        let mut des = DesEngine::embedded(sim(), RoundRobin::new());
-        let ref_status = reference.drive(10_000);
-        let des_status = des.drive(10_000);
+        let engine = || {
+            let sim: Simulation<MinFlood, _> = Simulation::new(inputs(n), plan.clone());
+            SimEngine::new(sim, ScenarioScheduler::LockStep(RoundRobin::new()))
+        };
+        let mut reference = engine();
+        // Timed-only builders are no-ops on a unit run.
+        let mut des = DesEngine::unit(engine())
+            .with_crash_at(ProcessId::new(0), VirtualTime::new(1))
+            .with_detector_cadence(3);
+        let mut ref_counter: EventCounter<u32> = EventCounter::new();
+        let mut des_counter: EventCounter<u32> = EventCounter::new();
+        let ref_status = reference.drive_observed(10_000, &mut ref_counter);
+        let des_status = des.drive_observed(10_000, &mut des_counter);
         assert_eq!(ref_status, des_status);
+        assert_eq!(ref_counter.counts(), des_counter.counts());
         assert_eq!(reference.decisions(), des.decisions());
         assert_eq!(reference.units(), des.units());
+        assert_eq!(des.now(), VirtualTime::new(des.units()), "unit clock");
         let ref_report = reference.report(ref_status.stop);
         let des_report = des.report(des_status.stop);
         assert_eq!(ref_report.steps, des_report.steps);
-        assert_eq!(
-            ref_report.trace.schedule(),
-            des_report.trace.schedule(),
-            "the embedding must replay the exact step sequence"
-        );
+        assert_eq!(ref_report.trace.schedule(), des_report.trace.schedule());
+    }
+
+    #[test]
+    fn ill_formed_latency_is_a_typed_error() {
+        let sim = || -> Simulation<MinFlood, _> { Simulation::new(inputs(3), CrashPlan::none()) };
+        for latency in [Latency::uniform(5, 2), Latency::fixed(0)] {
+            assert!(
+                matches!(
+                    DesEngine::timed(sim(), latency, 0, 1),
+                    Err(ScenarioError::BadSchedule { .. })
+                ),
+                "{latency} must be rejected, not rewritten"
+            );
+        }
+        assert!(DesEngine::timed(sim(), Latency::fixed(1), 0, 1).is_ok());
     }
 
     #[test]
     fn timed_mode_decides_and_skips_idle_time() {
         let n = 6;
         let sim: Simulation<MinFlood, _> = Simulation::new(inputs(n), CrashPlan::none());
-        let mut engine = DesEngine::timed(sim, Latency::uniform(10, 1_000), 0, 7);
+        let mut engine =
+            DesEngine::timed(sim, Latency::uniform(10, 1_000), 0, 7).expect("well-formed latency");
         let status = engine.drive(10_000);
         assert_eq!(status.stop, StopReason::AllCorrectDecided);
         assert_eq!(engine.distinct_decisions().len(), 1);
@@ -646,7 +719,8 @@ mod tests {
     fn fixed_latency_crash_free_runs_walk_the_round_cadence() {
         let n = 4;
         let sim: Simulation<MinFlood, _> = Simulation::new(inputs(n), CrashPlan::none());
-        let mut engine = DesEngine::timed(sim, Latency::fixed(5), 0, 1);
+        let mut engine =
+            DesEngine::timed(sim, Latency::fixed(5), 0, 1).expect("well-formed latency");
         let status = engine.drive(10_000);
         assert_eq!(status.stop, StopReason::AllCorrectDecided);
         // All round-1 broadcasts are sent at t=1 and arrive together at
@@ -664,6 +738,7 @@ mod tests {
         // The victim broadcasts at t=1 and is struck at t=2 — before any
         // arrival (lo = 5) can wake it again.
         let mut engine = DesEngine::timed(sim, Latency::fixed(5), 0, 3)
+            .expect("well-formed latency")
             .with_crash_at(victim, VirtualTime::new(2));
         let mut counter: EventCounter<u32> = EventCounter::new();
         let status = engine.drive_observed(10_000, &mut counter);
@@ -684,6 +759,7 @@ mod tests {
         let victim = ProcessId::new(2);
         let sim: Simulation<MinFlood, _> = Simulation::new(inputs(n), CrashPlan::none());
         let mut engine = DesEngine::timed(sim, Latency::fixed(2), 0, 3)
+            .expect("well-formed latency")
             .with_crash_at(victim, VirtualTime::new(1));
         let status = engine.drive(10_000);
         // The victim never broadcast, so nobody collects n values.
@@ -704,7 +780,8 @@ mod tests {
     fn gst_parks_early_sends_until_stabilization() {
         let n = 3;
         let sim: Simulation<MinFlood, _> = Simulation::new(inputs(n), CrashPlan::none());
-        let mut engine = DesEngine::timed(sim, Latency::fixed(1), 50, 9);
+        let mut engine =
+            DesEngine::timed(sim, Latency::fixed(1), 50, 9).expect("well-formed latency");
         let status = engine.drive(10_000);
         assert_eq!(status.stop, StopReason::AllCorrectDecided);
         // t=1 broadcasts are parked until GST: arrivals at 50 + 1.
@@ -737,7 +814,9 @@ mod tests {
             }
         }
         let sim: Simulation<Quiet, _> = Simulation::new(vec![0, 0], CrashPlan::none());
-        let mut engine = DesEngine::timed(sim, Latency::fixed(1), 0, 5).with_detector_cadence(4);
+        let mut engine = DesEngine::timed(sim, Latency::fixed(1), 0, 5)
+            .expect("well-formed latency")
+            .with_detector_cadence(4);
         let status = engine.drive(1_000);
         assert_eq!(
             status.stop,
@@ -758,7 +837,8 @@ mod tests {
         let n = 4;
         let sim: Simulation<MinFlood, _> =
             Simulation::new(inputs(n), CrashPlan::initially_dead([ProcessId::new(3)]));
-        let mut engine = DesEngine::timed(sim, Latency::fixed(2), 0, 11);
+        let mut engine =
+            DesEngine::timed(sim, Latency::fixed(2), 0, 11).expect("well-formed latency");
         let status = engine.drive(10_000);
         // Three broadcasts only: nobody sees 4 values, nobody decides —
         // and the dead process takes no step at all.
@@ -775,7 +855,8 @@ mod tests {
     fn announce_initial_replays_initial_deaths() {
         let sim: Simulation<MinFlood, _> =
             Simulation::new(inputs(3), CrashPlan::initially_dead([ProcessId::new(1)]));
-        let mut engine = DesEngine::timed(sim, Latency::fixed(1), 0, 0);
+        let mut engine =
+            DesEngine::timed(sim, Latency::fixed(1), 0, 0).expect("well-formed latency");
         let mut counter: EventCounter<u32> = EventCounter::new();
         engine.drive_observed(100, &mut counter);
         assert_eq!(counter.counts().crashes, 1);
@@ -786,7 +867,8 @@ mod tests {
     #[test]
     fn report_time_is_step_time_not_virtual_time() {
         let sim: Simulation<MinFlood, _> = Simulation::new(inputs(3), CrashPlan::none());
-        let mut engine = DesEngine::timed(sim, Latency::uniform(100, 200), 0, 2);
+        let mut engine =
+            DesEngine::timed(sim, Latency::uniform(100, 200), 0, 2).expect("well-formed latency");
         let status = engine.drive(1_000);
         let report = engine.report(status.stop);
         assert_eq!(report.steps, engine.units());

@@ -17,39 +17,23 @@ use super::{ComponentId, VirtualTime};
 /// Stale entries are handled by *lazy deletion*: the engine pushes a fresh
 /// entry whenever a component's earliest wake-up changes, and on pop runs
 /// the component only if the popped time still equals its
-/// [`Component::next_tick`](super::Component::next_tick). Superseded
+/// [`Component::next_tick`](super::component::Component::next_tick). Superseded
 /// entries are skipped, never searched for.
-///
-/// # Examples
-///
-/// ```
-/// use kset_sim::des::{ComponentId, EventHeap, VirtualTime};
-///
-/// let mut heap = EventHeap::new();
-/// heap.push(VirtualTime::new(5), ComponentId::new(1));
-/// heap.push(VirtualTime::new(5), ComponentId::new(0));
-/// heap.push(VirtualTime::new(2), ComponentId::new(7));
-/// // Earliest time first; same-time entries in insertion order.
-/// assert_eq!(heap.pop().map(|(t, _, c)| (t.raw(), c.index())), Some((2, 7)));
-/// assert_eq!(heap.pop().map(|(t, _, c)| (t.raw(), c.index())), Some((5, 1)));
-/// assert_eq!(heap.pop().map(|(t, _, c)| (t.raw(), c.index())), Some((5, 0)));
-/// assert_eq!(heap.pop(), None);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct EventHeap {
+#[derive(Debug, Default)]
+pub(crate) struct EventHeap {
     entries: BinaryHeap<Reverse<(VirtualTime, u64, ComponentId)>>,
     next_seq: u64,
 }
 
 impl EventHeap {
     /// An empty heap; the first push gets sequence number 0.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         EventHeap::default()
     }
 
     /// Schedules a wake-up of `component` at `at`, stamping it with the
     /// next sequence number. Returns the stamp.
-    pub fn push(&mut self, at: VirtualTime, component: ComponentId) -> u64 {
+    pub(crate) fn push(&mut self, at: VirtualTime, component: ComponentId) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.entries.push(Reverse((at, seq, component)));
@@ -58,23 +42,8 @@ impl EventHeap {
 
     /// Removes and returns the earliest entry — ties broken by sequence
     /// number, i.e. insertion order.
-    pub fn pop(&mut self) -> Option<(VirtualTime, u64, ComponentId)> {
+    pub(crate) fn pop(&mut self) -> Option<(VirtualTime, u64, ComponentId)> {
         self.entries.pop().map(|Reverse(e)| e)
-    }
-
-    /// The earliest entry without removing it.
-    pub fn peek(&self) -> Option<(VirtualTime, u64, ComponentId)> {
-        self.entries.peek().map(|&Reverse(e)| e)
-    }
-
-    /// Entries currently queued (stale ones included).
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether no entries are queued.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
@@ -113,15 +82,6 @@ mod tests {
         assert_eq!(heap.push(VirtualTime::new(3), ComponentId::new(2)), 2);
         assert_eq!(heap.pop().map(|(_, s, c)| (s, c.index())), Some((0, 0)));
         assert_eq!(heap.pop().map(|(_, s, c)| (s, c.index())), Some((2, 2)));
-        assert!(heap.is_empty());
-    }
-
-    #[test]
-    fn peek_matches_pop() {
-        let mut heap = EventHeap::new();
-        heap.push(VirtualTime::new(4), ComponentId::new(5));
-        heap.push(VirtualTime::new(2), ComponentId::new(6));
-        assert_eq!(heap.peek(), heap.clone().pop());
-        assert_eq!(heap.len(), 2);
+        assert_eq!(heap.pop(), None);
     }
 }

@@ -15,9 +15,8 @@ use crate::ids::ProcessId;
 /// `lo` must be at least 1 (a zero-latency link would admit unbounded
 /// same-instant send→deliver→send cascades — Zeno runs the virtual clock
 /// could never get past); [`DesEngine::timed`](super::DesEngine::timed)
-/// normalizes violating models and
-/// [`Scenario::validate`](crate::Scenario::validate) rejects them with a
-/// typed error.
+/// and [`Scenario::validate`](crate::Scenario::validate) reject violating
+/// models with a typed error.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Latency {
     /// Minimum delivery delay, in virtual-time ticks (≥ 1).
@@ -47,16 +46,6 @@ impl Latency {
     /// Whether the model is well-formed: `1 ≤ lo ≤ hi`.
     pub const fn is_well_formed(self) -> bool {
         self.lo >= 1 && self.lo <= self.hi
-    }
-
-    /// The nearest well-formed model: `lo` raised to 1, `hi` raised to
-    /// `lo`.
-    pub(crate) fn normalized(self) -> Self {
-        let lo = self.lo.max(1);
-        Latency {
-            lo,
-            hi: self.hi.max(lo),
-        }
     }
 
     /// Draws the delivery delay of one message: a deterministic function
@@ -133,14 +122,11 @@ mod tests {
     }
 
     #[test]
-    fn well_formedness_and_normalization() {
+    fn well_formedness_and_display() {
         assert!(Latency::fixed(1).is_well_formed());
         assert!(Latency::uniform(2, 9).is_well_formed());
         assert!(!Latency::fixed(0).is_well_formed());
         assert!(!Latency::uniform(5, 2).is_well_formed());
-        assert_eq!(Latency::fixed(0).normalized(), Latency::fixed(1));
-        assert_eq!(Latency::uniform(5, 2).normalized(), Latency::fixed(5));
-        assert_eq!(Latency::uniform(2, 9).normalized(), Latency::uniform(2, 9));
         assert_eq!(Latency::uniform(2, 9).to_string(), "2..9");
     }
 }

@@ -1,9 +1,9 @@
-//! Discrete-event virtual-time substrate: the third execution engine.
+//! Discrete-event virtual-time substrate: runs defined in **time**.
 //!
 //! The step simulator ([`SimEngine`](crate::SimEngine)) and `kset-core`'s
 //! lock-step round executor both measure progress in uniform scheduler
 //! *units* — a fine fit for the paper's adversary arguments, but unable to
-//! express schedules defined in **time**: per-link latency draws, partial
+//! express schedules defined in time: per-link latency draws, partial
 //! synchrony with an explicit global stabilization time (GST), or
 //! delay-bounded adversaries whose Δ is a duration rather than a unit
 //! count. This module adds that substrate.
@@ -11,16 +11,15 @@
 //! # Architecture
 //!
 //! * A **virtual clock** ([`VirtualTime`]) advanced by a deterministic
-//!   min-heap of `(VirtualTime, seq, ComponentId)` wake-ups
-//!   ([`EventHeap`]). The monotonic `seq` tie-break makes heap order
-//!   *total*: two events at the same instant pop in insertion order, so a
-//!   run is a pure function of its seeds regardless of heap internals.
-//! * **Components** ([`Component`]): processes ([`ProcClock`]), the link
-//!   fabric carrying in-flight messages ([`LinkFabric`]), the timed crash
-//!   schedule ([`CrashSchedule`]) and the failure-detector cadence
-//!   ([`DetectorCadence`]) all answer `next_tick`/`tick`. A tick emits
-//!   [`Action`]s; the engine applies them, which is what keeps component
-//!   state and engine state cleanly separated.
+//!   min-heap of `(VirtualTime, seq, component)` wake-ups. The monotonic
+//!   `seq` tie-break makes heap order *total*: two events at the same
+//!   instant pop in insertion order, so a run is a pure function of its
+//!   seeds regardless of heap internals.
+//! * **Components** (crate-internal): the per-process clocks, the link
+//!   fabric carrying in-flight messages, the timed crash schedule and the
+//!   failure-detector cadence all answer `next_tick`/`tick`. A tick emits
+//!   actions; the engine applies them, which is what keeps component state
+//!   and engine state cleanly separated.
 //! * **Latency models** ([`Latency`]): each message's delivery time is
 //!   `max(send, gst) + draw`, where `draw` is a seeded, per-link,
 //!   per-message SplitMix64 draw from `lo..=hi` — real delivery times, not
@@ -28,16 +27,10 @@
 //!   stabilization; `gst = 0` is the synchronous-bounded model from the
 //!   start.
 //!
-//! # Two drive modes
+//! # Two kinds of run
 //!
-//! [`DesEngine`] implements the [`Engine`](crate::Engine) trait in both:
+//! [`DesEngine`] implements the [`Engine`](crate::Engine) trait for both:
 //!
-//! * **Embedded** ([`DesEngine::embedded`]) — the unit→time embedding: a
-//!   single clock component wakes at `t = 1, 2, 3, …` and burns one
-//!   scheduler unit per tick. The exact `SimEngine` step sequence replays
-//!   under the event-driven clock, so every existing
-//!   [`Scenario`](crate::Scenario) compiles unchanged and the differential
-//!   suite pins decision equality across all three substrates.
 //! * **Timed** ([`DesEngine::timed`]) — arrival-driven execution: a
 //!   process wakes exactly when messages arrive (plus the optional
 //!   detector cadence), consuming them as a
@@ -45,10 +38,16 @@
 //!   stretches cost nothing —
 //!   the clock jumps to the next arrival — which is the sparse-schedule
 //!   win the `e7_des` bench group measures.
+//! * **Unit** — what [`Scenario::to_des`](crate::Scenario::to_des)
+//!   builds for every unit schedule family: the
+//!   [`SimEngine`](crate::SimEngine) that
+//!   [`Scenario::to_sim`](crate::Scenario::to_sim) compiles, behind the
+//!   same type. A unit run *is* the step substrate, driven by its one
+//!   loop; [`DesEngine::now`] reports the unit count.
 //!
 //! The Observer event stream (send/deliver/fd-sample/step/crash/decide/
-//! halt) flows unchanged in both modes: every process step goes through
-//! the same `Simulation::step_observed` seven-phase pipeline as the step
+//! halt) flows unchanged in both: every process step goes through the
+//! same `Simulation::step_observed` seven-phase pipeline as the step
 //! substrate. Event times remain the simulation's step counter
 //! ([`Time`](crate::Time)); the virtual clock is scheduling metadata, not
 //! a new event vocabulary. One nuance: a *timed* crash is an adversary
@@ -60,11 +59,7 @@ mod engine;
 mod heap;
 mod latency;
 
-pub use component::{
-    Action, Component, CrashSchedule, DetectorCadence, LinkFabric, ProcClock, UnitClock,
-};
 pub use engine::DesEngine;
-pub use heap::EventHeap;
 pub use latency::Latency;
 
 /// A point on the discrete-event virtual clock.
@@ -72,7 +67,7 @@ pub use latency::Latency;
 /// Distinct from [`Time`](crate::Time) (the simulation's step counter):
 /// virtual time measures *when* things happen on the modelled network,
 /// while step time counts atomic process steps. Observer events carry step
-/// time in both drive modes.
+/// time in both kinds of run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct VirtualTime(u64);
 
@@ -107,26 +102,20 @@ impl std::fmt::Display for VirtualTime {
     }
 }
 
-/// Identifies one [`Component`] in a [`DesEngine`]'s registry — the third
-/// element of every heap entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct ComponentId(usize);
+/// Identifies one component in a timed [`DesEngine`]'s registry — the
+/// third element of every heap entry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct ComponentId(usize);
 
 impl ComponentId {
     /// Wraps a registry index.
-    pub const fn new(index: usize) -> Self {
+    const fn new(index: usize) -> Self {
         ComponentId(index)
     }
 
     /// The registry index.
-    pub const fn index(self) -> usize {
+    const fn index(self) -> usize {
         self.0
-    }
-}
-
-impl std::fmt::Display for ComponentId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "c{}", self.0)
     }
 }
 
@@ -144,6 +133,5 @@ mod tests {
             VirtualTime::new(u64::MAX)
         );
         assert_eq!(VirtualTime::new(5).to_string(), "t5");
-        assert_eq!(ComponentId::new(2).to_string(), "c2");
     }
 }

@@ -534,26 +534,6 @@ where
         engine.drive(max_steps)
     }
 
-    /// As [`Simulation::run`], reporting every run event to `obs` — the
-    /// borrowed-scheduler form of
-    /// [`Engine::drive_observed`].
-    pub fn run_observed<S>(
-        &mut self,
-        scheduler: &mut S,
-        max_steps: u64,
-        obs: &mut dyn Observer<P::Output>,
-    ) -> RunStatus
-    where
-        S: Scheduler<P::Msg> + ?Sized,
-    {
-        let mut engine = BorrowedSimEngine {
-            sim: self,
-            sched: scheduler,
-            units: 0,
-        };
-        engine.drive_observed(max_steps, obs)
-    }
-
     /// Replays to `obs` the crash events that predate any drive: the
     /// initially-dead processes, recorded at construction time. Called by
     /// [`Engine::drive_observed`] so a late-attached observer still sees
@@ -576,12 +556,7 @@ where
     /// picking a crashed process still consumes the unit (adversaries built
     /// from plans may race with plan-driven crashes; they get to observe the
     /// new state on the next call).
-    ///
-    /// `pub(crate)` so the discrete-event substrate
-    /// ([`crate::des::DesEngine`]) can embed unit schedulers tick-for-tick,
-    /// guaranteeing that embedded runs replay the exact `SimEngine` step
-    /// sequence.
-    pub(crate) fn step_once<S, Ob>(&mut self, scheduler: &mut S, obs: &mut Ob) -> bool
+    fn step_once<S, Ob>(&mut self, scheduler: &mut S, obs: &mut Ob) -> bool
     where
         S: Scheduler<P::Msg> + ?Sized,
         Ob: Observer<P::Output> + ?Sized,

@@ -21,9 +21,8 @@
 //!   with no receivers).
 //! * [`Scenario::to_des`] builds a [`DesEngine`]:
 //!   the [`ScheduleFamily::Timed`] family compiles natively (latency
-//!   draws, GST, virtual-time crash strikes), and every *other* family
-//!   takes the unit→time embedding, replaying the exact `to_sim` step
-//!   sequence under the event-driven clock.
+//!   draws, GST, virtual-time crash strikes), and every *other* family is
+//!   the `to_sim` engine itself behind the discrete-event type.
 //!
 //! Because both projections derive from one description, the two substrates
 //! can be *differentially tested*: under the synchronous
@@ -624,36 +623,30 @@ impl Scenario {
     ///   ([`DesEngine::schedule_crash`] at `t = round`), and a non-`None`
     ///   detector choice enables the sampling cadence at the latency lower
     ///   bound (the fastest the modelled network can change).
-    /// * Every other family takes the unit→time embedding
-    ///   ([`DesEngine::embedded`]) around the family's own scheduler, so
-    ///   the run replays the exact [`Scenario::to_sim`] step sequence under
-    ///   the event-driven clock.
+    /// * Every other family is a unit run: the [`Scenario::to_sim`] engine
+    ///   itself behind the [`DesEngine`] type, so decisions, units and the
+    ///   event stream are the step substrate's by construction.
     ///
     /// # Errors
     ///
     /// Returns the first [`ScenarioError`] of [`Scenario::validate`].
     pub fn to_des<P: ScenarioProcess>(&self) -> Result<DesEngine<P, NoOracle>, ScenarioError> {
+        let ScheduleFamily::Timed { latency, gst, seed } = &self.schedule else {
+            return self.to_sim::<P>().map(DesEngine::unit);
+        };
         self.validate()?;
-        match &self.schedule {
-            ScheduleFamily::Timed { latency, gst, seed } => {
-                let sim = Simulation::try_new(
-                    P::scenario_inputs(self),
-                    CrashPlan::initially_dead(self.initially_dead),
-                )?;
-                let mut engine = DesEngine::timed(sim, *latency, *gst, *seed);
-                for c in &self.crashes {
-                    engine.schedule_crash(c.pid, VirtualTime::new(c.round as u64));
-                }
-                if self.detector != DetectorChoice::None {
-                    engine = engine.with_detector_cadence(latency.lo);
-                }
-                Ok(engine)
-            }
-            _ => {
-                let scheduler = self.scheduler()?;
-                Ok(DesEngine::embedded(self.to_simulation::<P>()?, scheduler))
-            }
+        let sim = Simulation::try_new(
+            P::scenario_inputs(self),
+            CrashPlan::initially_dead(self.initially_dead),
+        )?;
+        let mut engine = DesEngine::timed(sim, *latency, *gst, *seed)?;
+        for c in &self.crashes {
+            engine.schedule_crash(c.pid, VirtualTime::new(c.round as u64));
         }
+        if self.detector != DetectorChoice::None {
+            engine = engine.with_detector_cadence(latency.lo);
+        }
+        Ok(engine)
     }
 }
 
@@ -1488,15 +1481,15 @@ mod tests {
         assert_eq!(decisions[0..3], [Some(0), Some(1), Some(2)]);
         assert_eq!(decisions[3], None, "struck at t=1, before its first step");
 
-        // The unit→time embedding: a lock-step scenario decides
-        // identically on the DES engine and on the step engine.
+        // A unit family: the DES engine is the step engine, so a
+        // lock-step scenario decides identically on both.
         let lock = Scenario::favourable(3, 0, 1);
         let mut des = lock.to_des::<Own>().expect("valid");
         let mut sim = lock.to_sim::<Own>().expect("valid");
         assert_eq!(
             des.drive(lock.max_units),
             sim.drive(lock.max_units),
-            "embedded drive status matches the step substrate"
+            "unit-run drive status matches the step substrate"
         );
         assert_eq!(des.decisions(), sim.decisions());
 

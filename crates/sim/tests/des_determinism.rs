@@ -106,6 +106,7 @@ fn transcript_of(seed: u64) -> String {
     let n = 6;
     let sim: Simulation<MinFlood, _> = Simulation::new(inputs(n), CrashPlan::none());
     let mut engine = DesEngine::timed(sim, Latency::uniform(2, 9), 13, seed)
+        .expect("well-formed latency")
         .with_crash_at(ProcessId::new(4), VirtualTime::new(20))
         .with_detector_cadence(5);
     let mut obs = Transcript::default();

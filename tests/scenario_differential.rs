@@ -1,19 +1,54 @@
-//! Differential conformance between the three substrates: one scenario
-//! description compiled to the step-level simulator, the round-level
-//! lock-step executor, and the discrete-event engine must produce
-//! equivalent runs under the synchronous schedule family — across the full
-//! Theorem 8 border grid, under parallel and sequential sweeps alike — and
-//! must *flag* (not panic on) divergence under asynchronous families. The
-//! natively timed family is compared against the round executor directly:
-//! fixed latency with `gst = 0` walks the exact round cadence.
+//! Differential conformance between the independent substrates: one
+//! scenario description compiled to the step-level simulator and to the
+//! round-level lock-step executor must produce equivalent runs under the
+//! synchronous schedule family — across the full Theorem 8 border grid,
+//! under parallel and sequential sweeps alike — and must *flag* (not panic
+//! on) divergence under asynchronous families. The discrete-event engine
+//! runs unit families as the step engine itself, which the suite pins
+//! directly; its natively timed family is compared against the round
+//! executor: fixed latency with `gst = 0` walks the exact round cadence.
 
 use kset::core::algorithms::floodmin::FloodMin;
 use kset::core::scenario::differential::{self, DiffReport};
-use kset::core::scenario::RoundAdapter;
+use kset::core::scenario::{to_lockstep, RoundAdapter};
+use kset::core::Val;
 use kset::impossibility::theorem8_border_cells as border_cells;
+use kset::sim::des::Latency;
 use kset::sim::explore::{explore_scenario, Branching, ExploreConfig};
+use kset::sim::observe::EventCounter;
 use kset::sim::scenario::{Scenario, ScheduleFamily};
 use kset::sim::sweep::{scenario_grid, sweep, sweep_seq};
+use kset::sim::{Engine, ProcessId, ProcessSet, ScenarioCrash};
+
+/// Drives the `to_des` and `to_sim` compilations of a unit-family
+/// `scenario` side by side, an event counter on each. The discrete-event
+/// engine forwards such a run to the step engine, so the drive status,
+/// decisions, unit count and every event total must be equal.
+fn assert_des_is_the_step_engine(scenario: &Scenario, tag: &str) {
+    let mut sim = scenario
+        .to_sim::<RoundAdapter<FloodMin>>()
+        .unwrap_or_else(|e| panic!("{tag}: {e}"));
+    let mut des = scenario
+        .to_des::<RoundAdapter<FloodMin>>()
+        .unwrap_or_else(|e| panic!("{tag}: {e}"));
+    let mut sim_counter: EventCounter<Val> = EventCounter::new();
+    let mut des_counter: EventCounter<Val> = EventCounter::new();
+    let sim_status = sim.drive_observed(scenario.max_units, &mut sim_counter);
+    let des_status = des.drive_observed(scenario.max_units, &mut des_counter);
+    assert_eq!(des_status, sim_status, "{tag}: drive status");
+    assert_eq!(des.decisions(), sim.decisions(), "{tag}: decisions");
+    assert_eq!(des.units(), sim.units(), "{tag}: units");
+    assert_eq!(
+        des_counter.counts(),
+        sim_counter.counts(),
+        "{tag}: event totals"
+    );
+    assert_eq!(
+        des_counter.decisions_by_process(),
+        sim_counter.decisions_by_process(),
+        "{tag}: decided values per process"
+    );
+}
 
 #[test]
 fn theorem8_border_grid_substrates_agree() {
@@ -42,12 +77,7 @@ fn theorem8_border_grid_substrates_agree() {
             "FloodMin must reach k-agreement on the favourable side"
         );
         assert_eq!(report.lockstep.units, scenario.rounds as u64);
-        // The third substrate: the discrete-event engine's unit→time
-        // embedding replays the step-level run exactly — decisions AND
-        // unit accounting.
-        assert!(report.des.terminated);
-        assert_eq!(report.des.decisions, report.sim.decisions);
-        assert_eq!(report.des.units, report.sim.units);
+        assert_des_is_the_step_engine(&scenario, &format!("cell {}", cell.index));
     }
 }
 
@@ -84,39 +114,18 @@ fn observer_counts_agree_across_substrates_on_the_border_grid() {
     // transmitted sends, decisions (values included) and crashes agree
     // exactly, on every cell of the Theorem 8 border grid.
     use kset::core::scenario::differential::check_observed;
-    use kset::core::Val;
-    use kset::sim::observe::EventCounter;
 
     for cell in border_cells(42) {
         let scenario = Scenario::from_cell(&cell);
         let mut sim_counter: EventCounter<Val> = EventCounter::new();
         let mut lock_counter: EventCounter<Val> = EventCounter::new();
-        let mut des_counter: EventCounter<Val> = EventCounter::new();
-        let report = check_observed::<FloodMin>(
-            &scenario,
-            &mut sim_counter,
-            &mut lock_counter,
-            &mut des_counter,
-        )
-        .unwrap_or_else(|e| panic!("cell {}: {e}", cell.index));
+        let report = check_observed::<FloodMin>(&scenario, &mut sim_counter, &mut lock_counter)
+            .unwrap_or_else(|e| panic!("cell {}: {e}", cell.index));
         assert!(
             report.agrees(),
             "cell {}: {:?}",
             cell.index,
             report.divergences
-        );
-
-        // The embedded discrete-event run emits the *identical* event
-        // stream as the step substrate — every counter equal.
-        assert_eq!(
-            des_counter.counts(),
-            sim_counter.counts(),
-            "cell {}: embedded DES event totals",
-            cell.index
-        );
-        assert_eq!(
-            des_counter.decisions_by_process(),
-            sim_counter.decisions_by_process()
         );
 
         let (sim, lock) = (sim_counter.counts(), lock_counter.counts());
@@ -150,21 +159,13 @@ fn observer_counts_agree_exactly_without_crashes() {
     // With no crashes there is no in-flight edge: every event total the
     // counter tracks (deliveries included) is equal across substrates.
     use kset::core::scenario::differential::check_observed;
-    use kset::core::Val;
-    use kset::sim::observe::EventCounter;
 
     let scenario = Scenario::favourable(6, 2, 1);
     let mut sim_counter: EventCounter<Val> = EventCounter::new();
     let mut lock_counter: EventCounter<Val> = EventCounter::new();
-    let mut des_counter: EventCounter<Val> = EventCounter::new();
-    let report = check_observed::<FloodMin>(
-        &scenario,
-        &mut sim_counter,
-        &mut lock_counter,
-        &mut des_counter,
-    )
-    .expect("favourable scenario is valid");
-    assert_eq!(des_counter.counts(), sim_counter.counts());
+    let report = check_observed::<FloodMin>(&scenario, &mut sim_counter, &mut lock_counter)
+        .expect("favourable scenario is valid");
+    assert_des_is_the_step_engine(&scenario, "crash-free");
     assert!(report.agrees());
     let (sim, lock) = (sim_counter.counts(), lock_counter.counts());
     assert_eq!(sim.sends, lock.sends);
@@ -202,6 +203,7 @@ fn async_schedule_family_divergence_is_flagged_not_fatal() {
         if !report.agrees() {
             diverged += 1;
         }
+        assert_des_is_the_step_engine(&scenario, &format!("async seed {seed}"));
     }
     assert!(
         diverged > 0,
@@ -241,6 +243,41 @@ fn explorer_refutes_floodmin_under_all_schedules() {
     assert!(diff.lockstep.k_agreement(1));
 }
 
+/// Runs the crash-stop lock-step scenario `lock_sc` (every crash reaches
+/// nobody) on the round executor and its timed twin on the discrete-event
+/// engine — fixed latency `d`, `gst = 0`, each round-`r` crash struck at
+/// the virtual time `1 + (r-1)·d` of step `r` — and asserts that every
+/// process decides the same on both.
+fn assert_timed_twin_matches(lock_sc: &Scenario, d: u64, seed: u64, tag: &str) {
+    let mut lock = to_lockstep::<FloodMin>(lock_sc).unwrap_or_else(|e| panic!("{tag}: {e}"));
+    lock.drive(lock_sc.rounds as u64);
+
+    let mut timed_sc = lock_sc.clone().with_schedule(ScheduleFamily::Timed {
+        latency: Latency::fixed(d),
+        gst: 0,
+        seed,
+    });
+    for crash in &mut timed_sc.crashes {
+        // Round r → the virtual time of step r.
+        crash.round = 1 + (crash.round - 1) * d as usize;
+    }
+    let mut des = timed_sc
+        .to_des::<RoundAdapter<FloodMin>>()
+        .unwrap_or_else(|e| panic!("{tag}: {e}"));
+    let status = des.drive(timed_sc.max_units);
+    assert!(des.done(), "{tag}: timed run terminates ({status:?})");
+    assert_eq!(
+        des.decisions(),
+        lock.decisions(),
+        "{tag}: per-process decisions across the timed/round pair"
+    );
+    assert_eq!(des.distinct_decisions(), lock.distinct_decisions(), "{tag}");
+    assert!(
+        des.distinct_decisions().len() <= lock_sc.k,
+        "{tag}: k-agreement on the timed substrate"
+    );
+}
+
 #[test]
 fn timed_fixed_latency_replays_the_round_executor() {
     // The timed family has no unit scheduler, so `differential::check`
@@ -252,58 +289,37 @@ fn timed_fixed_latency_replays_the_round_executor() {
     // lock-step scenario whose round-`r` crash reaches *nobody* therefore
     // has a timed twin — the same crash expressed in virtual time — and
     // the two substrates must agree on every process's decision.
-    use kset::core::scenario::to_lockstep;
-    use kset::sim::des::Latency;
-    use kset::sim::{Engine, ProcessId, ProcessSet, ScenarioCrash};
-
-    let d: u64 = 4;
     for (n, f, k) in [(5usize, 2usize, 1usize), (6, 3, 2), (7, 3, 1)] {
         // Crash process j in round (j mod rounds) + 1 — staying inside the
         // scenario's round budget — with the final message reaching nobody.
         let rounds = f / k + 1;
-        let crashes: Vec<ScenarioCrash> = (0..f)
+        let mut lock_sc = Scenario::favourable(n, f, k);
+        lock_sc.crashes = (0..f)
             .map(|j| ScenarioCrash {
                 pid: ProcessId::new(j),
                 round: (j % rounds) + 1,
                 receivers: ProcessSet::new(),
             })
             .collect();
+        assert_timed_twin_matches(&lock_sc, 4, 0xC0FFEE, &format!("n={n} f={f} k={k}"));
+    }
 
-        let mut lock_sc = Scenario::favourable(n, f, k);
-        lock_sc.crashes = crashes.clone();
-        let mut lock = to_lockstep::<FloodMin>(&lock_sc).expect("valid lock-step scenario");
-        lock.drive(lock_sc.rounds as u64);
-
-        let mut timed_sc = Scenario::favourable(n, f, k).with_schedule(ScheduleFamily::Timed {
-            latency: Latency::fixed(d),
-            gst: 0,
-            seed: 0xC0FFEE,
-        });
-        timed_sc.crashes = crashes
-            .iter()
-            .map(|c| ScenarioCrash {
-                pid: c.pid,
-                // Round r → the virtual time of step r.
-                round: 1 + (c.round - 1) * d as usize,
-                receivers: ProcessSet::new(),
-            })
-            .collect();
-        let mut des = timed_sc
-            .to_des::<RoundAdapter<FloodMin>>()
-            .expect("valid timed scenario");
-        let status = des.drive(timed_sc.max_units);
-        let tag = format!("n={n} f={f} k={k}");
-        assert!(des.done(), "{tag}: timed run terminates ({status:?})");
-        assert_eq!(
-            des.decisions(),
-            lock.decisions(),
-            "{tag}: per-process decisions across the timed/round pair"
-        );
-        assert_eq!(des.distinct_decisions(), lock.distinct_decisions(), "{tag}");
-        assert!(
-            des.distinct_decisions().len() <= k,
-            "{tag}: k-agreement on the timed substrate"
-        );
+    // The crash-stop twin of every Theorem 8 border cell: the grid the
+    // step/round differential checks, on the timed substrate at two
+    // latencies.
+    for d in [1u64, 4] {
+        for cell in border_cells(42) {
+            let mut lock_sc = Scenario::from_cell(&cell);
+            for crash in &mut lock_sc.crashes {
+                crash.receivers = ProcessSet::new();
+            }
+            assert_timed_twin_matches(
+                &lock_sc,
+                d,
+                cell.seed,
+                &format!("cell {} d={d}", cell.index),
+            );
+        }
     }
 }
 
@@ -315,9 +331,6 @@ fn timed_uniform_latency_terminates_and_is_seed_deterministic() {
     // jitter breaks). What IS promised: the run terminates, every decision
     // is one of the proposals, and the whole outcome is a pure function of
     // the seed.
-    use kset::sim::des::Latency;
-    use kset::sim::Engine;
-
     for seed in 0..8u64 {
         let run = || {
             let scenario = Scenario::favourable(6, 2, 1).with_schedule(ScheduleFamily::Timed {
@@ -345,7 +358,7 @@ fn timed_uniform_latency_terminates_and_is_seed_deterministic() {
 fn invalid_scenarios_are_typed_errors_on_both_compilers() {
     let bad = Scenario::favourable(4, 1, 1).with_inputs(vec![1]);
     let sim_err = bad.to_sim::<RoundAdapter<FloodMin>>().unwrap_err();
-    let lock_err = kset::core::scenario::to_lockstep::<FloodMin>(&bad).unwrap_err();
+    let lock_err = to_lockstep::<FloodMin>(&bad).unwrap_err();
     assert_eq!(sim_err, lock_err, "one validation, two compilers");
     assert!(differential::check::<FloodMin>(&bad).is_err());
 }
