@@ -368,7 +368,7 @@ fn usage(msg: &str) -> ! {
     eprintln!(
         "usage: experiments [--e1 … --e7]\n\
          \u{20}      experiments sweep --grid <{names}> --out FILE \
-         [--grid-seed N] [--shard I/J] [--window N] [--seq | --batch B]\n\
+         [--grid-seed N] [--shard I/J] [--window N | --seq | --batch B]\n\
          \u{20}      experiments sweep --resume FILE [--out FILE] [--window N]\n\
          \u{20}      experiments merge --out FILE [--check-against-sequential] SHARD_FILE...\n\
          \u{20}      experiments coordinate --grid <{names}> --listen ADDR --out FILE \
@@ -379,12 +379,17 @@ fn usage(msg: &str) -> ! {
     std::process::exit(2);
 }
 
+/// Results the streaming schedule holds in flight when `--window` is absent.
+const DEFAULT_WINDOW: usize = 64;
+
 /// `sweep`: run one shard of a catalog grid, streaming records to a
 /// self-describing shard file (`--seq` forces the single-threaded
 /// sequential reference pass instead of the streaming parallel runner —
 /// the files they write are byte-identical, which CI asserts; `--batch B`
 /// runs same-shape cells through the grid's structure-of-arrays kernel in
-/// batches of at most B lanes, again byte-identical).
+/// batches of at most B lanes, again byte-identical). `--window N` sizes
+/// the streaming schedule only, so combining it with `--seq` or `--batch`
+/// is a usage error rather than a silently ignored value.
 ///
 /// `--resume FILE` reads a partial `kset-sweep v2` shard file — every
 /// parameter (grid, seed, shard) comes from its header — recomputes
@@ -398,7 +403,7 @@ fn sweep_cmd(args: &[String]) {
     let mut grid_seed: u64 = 42;
     let mut shard = ShardSpec::FULL;
     let mut out: Option<String> = None;
-    let mut window: usize = 64;
+    let mut window: Option<usize> = None;
     let mut seq = false;
     let mut batch: Option<usize> = None;
     let mut resume: Option<String> = None;
@@ -429,11 +434,13 @@ fn sweep_cmd(args: &[String]) {
             }
             "--out" => out = Some(value("--out").clone()),
             "--window" => {
-                window = value("--window")
-                    .parse()
-                    .ok()
-                    .filter(|&w: &usize| w > 0)
-                    .unwrap_or_else(|| usage("bad --window: need an integer of at least 1"));
+                window = Some(
+                    value("--window")
+                        .parse()
+                        .ok()
+                        .filter(|&w: &usize| w > 0)
+                        .unwrap_or_else(|| usage("bad --window: need an integer of at least 1")),
+                );
             }
             "--seq" => seq = true,
             "--batch" => {
@@ -455,7 +462,11 @@ fn sweep_cmd(args: &[String]) {
                 "--resume reads every parameter from the file's header; drop {flag}"
             ));
         }
-        return resume_cmd(&resume, out.as_deref().unwrap_or(&resume), window);
+        return resume_cmd(
+            &resume,
+            out.as_deref().unwrap_or(&resume),
+            window.unwrap_or(DEFAULT_WINDOW),
+        );
     }
     let Some(grid_name) = grid_name else {
         usage("sweep needs --grid");
@@ -468,6 +479,9 @@ fn sweep_cmd(args: &[String]) {
     }
     if seq && batch.is_some() {
         usage("--seq and --batch are different execution schedules; pick one");
+    }
+    if window.is_some() && (seq || batch.is_some()) {
+        usage("--window sizes the streaming schedule; --seq and --batch do not stream");
     }
     let grid = kset_bench::sweeps::grid(&grid_name, grid_seed).unwrap_or_else(|e| fail(e));
 
@@ -489,7 +503,7 @@ fn sweep_cmd(args: &[String]) {
         }
     } else {
         mode = "streaming".to_string();
-        grid.sweep_shard_streaming(shard, window, |record| {
+        grid.sweep_shard_streaming(shard, window.unwrap_or(DEFAULT_WINDOW), |record| {
             records += 1;
             writer.emit(&format!("{}\n", record.render_line()));
         });

@@ -25,6 +25,7 @@
 //! functions of the cell (resume byte-identity depends on it), which the
 //! deterministic substrates guarantee.
 
+use std::collections::BTreeMap;
 use std::fmt;
 
 use kset_core::algorithms::floodmin::{floodmin_batch, floodmin_rounds, FloodMin, FloodMinLane};
@@ -34,8 +35,8 @@ use kset_impossibility::theorem8::border_demo;
 use kset_impossibility::theorem8_border_cells;
 use kset_sim::observe::EventCounter;
 use kset_sim::sweep::{
-    scale_grid, sweep_batched, sweep_seq, sweep_streaming_ordered, CellRecord, GridCell,
-    Observation, ShardSpec, SweepHeader,
+    scale_grid, sweep_seq, sweep_streaming_ordered, CellRecord, GridCell, Observation, ShardSpec,
+    SweepHeader,
 };
 use kset_sim::{stable_fingerprint, Engine, ProcessId};
 
@@ -53,19 +54,11 @@ pub struct SweepGrid {
     /// The full cell list, in emission order.
     pub cells: Vec<GridCell>,
     /// Computes one cell's digest and typed observation (pure).
-    observe: fn(&GridCell) -> (u64, Option<Observation>),
-    /// Optional structure-of-arrays kernel: the shape key two cells must
-    /// share to ride one batch, and the batch observe function (one
-    /// digest/observation pair per lane, in lane order, each identical to
-    /// what `observe` computes for that cell). Grids without a kernel —
-    /// or grids where no two cells share a shape — fall back to the
-    /// scalar path cell by cell, so `--batch` is a no-op there rather
-    /// than a failure.
+    observe: fn(&GridCell) -> (u64, Observation),
+    /// Optional structure-of-arrays kernel; a grid without one runs
+    /// `--batch` cell by cell on the scalar path (same records).
     batch: Option<BatchKernel>,
 }
-
-/// Per-lane `(digest, observation)` pairs, in lane order.
-type LaneResults = Vec<(u64, Option<Observation>)>;
 
 /// The shape-keyed batch kernel of a [`SweepGrid`].
 #[derive(Clone, Copy)]
@@ -74,8 +67,9 @@ struct BatchKernel {
     /// the lock-step grids).
     shape: fn(&GridCell) -> (usize, usize),
     /// Runs one same-shape batch; returns per-lane `(digest, observation)`
-    /// pairs in lane order.
-    run: fn(&[&GridCell]) -> LaneResults,
+    /// pairs in lane order, each identical to what the scalar observe
+    /// function computes for that cell.
+    run: fn(&[&GridCell]) -> Vec<(u64, Observation)>,
 }
 
 impl fmt::Debug for SweepGrid {
@@ -153,11 +147,7 @@ impl SweepGrid {
     /// observation payload (pure, like [`SweepGrid::digest`]).
     pub fn record(&self, cell: &GridCell) -> CellRecord {
         let (digest, obs) = (self.observe)(cell);
-        let record = CellRecord::new(cell, digest);
-        match obs {
-            Some(obs) => record.with_observation(obs),
-            None => record,
-        }
+        CellRecord::new(cell, digest).with_observation(obs)
     }
 
     /// Sweeps one shard, **streaming**: records flow to `emit` in cell
@@ -207,70 +197,72 @@ impl SweepGrid {
         sweep_seq(&self.cells, |_, cell| self.record(cell))
     }
 
-    /// Whether this grid registers a structure-of-arrays batch kernel
-    /// (grids without one run `--batch` on the scalar path).
-    pub fn supports_batching(&self) -> bool {
-        self.batch.is_some()
-    }
-
     /// Computes the records of one **same-shape** batch through the grid's
     /// SoA kernel, in lane order — or cell by cell through the scalar
     /// path if the grid has no kernel. Each record is identical to what
     /// [`SweepGrid::record`] computes for that cell; only the execution
     /// schedule differs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the kernel returns a result count that differs from the
+    /// lane count.
     pub fn record_batch(&self, lanes: &[&GridCell]) -> Vec<CellRecord> {
         let Some(kernel) = self.batch else {
             return lanes.iter().map(|cell| self.record(cell)).collect();
         };
-        (kernel.run)(lanes)
+        let results = (kernel.run)(lanes);
+        assert_eq!(
+            results.len(),
+            lanes.len(),
+            "batch kernel must return one result per lane"
+        );
+        results
             .into_iter()
             .zip(lanes)
-            .map(|((digest, obs), cell)| {
-                let record = CellRecord::new(cell, digest);
-                match obs {
-                    Some(obs) => record.with_observation(obs),
-                    None => record,
-                }
-            })
+            .map(|((digest, obs), cell)| CellRecord::new(cell, digest).with_observation(obs))
             .collect()
     }
 
     /// Sweeps one shard **batched**: cells grouped by the grid's shape
-    /// key, executed through the SoA kernel in batches of at most `batch`
-    /// lanes, and re-serialized in canonical cell order. Cell indices,
-    /// seeds and record contents are invariant under batching, so the
-    /// resulting records — and any shard file rendered from them — are
-    /// byte-identical to the streaming/sequential reference.
-    ///
-    /// Grids without a kernel fall back to the scalar path (same records,
-    /// no fusion); a degenerate grid where no two cells share a shape
-    /// simply yields single-lane batches.
+    /// key, run through [`SweepGrid::record_batch`] in chunks of at most
+    /// `batch` lanes (the last chunk of a group may be ragged), and put
+    /// back in cell order. Cell indices, seeds and record contents are
+    /// invariant under batching, so the records — and any shard file
+    /// rendered from them — are byte-identical to the sequential
+    /// reference. On a grid without a kernel every cell shares one group
+    /// and `record_batch` runs each chunk on the scalar path.
     ///
     /// # Panics
     ///
     /// Panics if `batch == 0`.
     pub fn sweep_shard_batched(&self, shard: ShardSpec, batch: usize) -> Vec<CellRecord> {
+        assert!(batch >= 1, "batch size must be at least 1");
         let slice = shard.slice(&self.cells);
-        let Some(kernel) = self.batch else {
-            assert!(batch >= 1, "batch size must be at least 1");
-            return slice.iter().map(|cell| self.record(cell)).collect();
-        };
-        sweep_batched(
-            slice,
-            batch,
-            |_, cell| (kernel.shape)(cell),
-            |lanes| {
-                let cells: Vec<&GridCell> = lanes.iter().map(|(_, c)| *c).collect();
-                self.record_batch(&cells)
-            },
-        )
+        let mut groups: BTreeMap<Option<(usize, usize)>, Vec<&GridCell>> = BTreeMap::new();
+        for cell in slice {
+            let shape = self.batch.map(|kernel| (kernel.shape)(cell));
+            groups.entry(shape).or_default().push(cell);
+        }
+        let mut records: Vec<CellRecord> = groups
+            .values()
+            .flat_map(|group| group.chunks(batch))
+            .flat_map(|chunk| self.record_batch(chunk))
+            .collect();
+        records.sort_unstable_by_key(|record| record.index);
+        let indices = records.iter().map(|r| r.index);
+        assert!(
+            indices.eq(slice.iter().map(|c| c.index)),
+            "batched records must cover the shard in cell order"
+        );
+        records
     }
 }
 
 /// One Theorem 8 border cell: the digest of the pasted impossibility
 /// construction's verdict at `(n, k)`, observed as the distinct decision
 /// values of the pasted run.
-fn border_observe(cell: &GridCell) -> (u64, Option<Observation>) {
+fn border_observe(cell: &GridCell) -> (u64, Observation) {
     let demo = border_demo(cell.n, cell.k, 300_000)
         // kset-lint: allow(panic-in-library): invariant — theorem8_border_cells only emits exact divisible border points, so the demo always constructs
         .expect("border grid cells are exact divisible border points");
@@ -283,7 +275,7 @@ fn border_observe(cell: &GridCell) -> (u64, Option<Observation>) {
         demo.violates_k_agreement(),
     ));
     let obs = Observation::distinct(demo.pasted.report.distinct_decisions.iter().copied());
-    (digest, Some(obs))
+    (digest, obs)
 }
 
 /// One scale cell: lock-step FloodMin under a seed-derived crash layout
@@ -291,7 +283,7 @@ fn border_observe(cell: &GridCell) -> (u64, Option<Observation>) {
 /// [`EventCounter`] attached through the uniform observation API — the
 /// digest covers the decision vector, the observation records the run's
 /// event totals.
-fn floodmin_observe(cell: &GridCell) -> (u64, Option<Observation>) {
+fn floodmin_observe(cell: &GridCell) -> (u64, Observation) {
     let GridCell { n, f, k, .. } = *cell;
     // kset-lint: allow(unchecked-capacity): cell.n comes from scale_grid, which capacity-validates every axis value at grid construction
     let mut engine = LockStep::new(
@@ -303,7 +295,7 @@ fn floodmin_observe(cell: &GridCell) -> (u64, Option<Observation>) {
     engine.drive_observed(u64::MAX, &mut counter);
     let out = engine.outcome();
     let digest = floodmin_digest(&out);
-    (digest, Some(Observation::Counts(counter.counts())))
+    (digest, Observation::Counts(counter.counts()))
 }
 
 /// The seed-derived crash layout of one scale cell — shared verbatim by
@@ -333,7 +325,7 @@ fn floodmin_digest(out: &kset_core::sync::SyncOutcome) -> u64 {
 /// The batched twin of [`floodmin_observe`]: one [`floodmin_batch`] call
 /// over a same-shape lane set, producing per lane exactly the digest and
 /// [`Observation::Counts`] the scalar path computes for that cell.
-fn floodmin_observe_batch(lanes: &[&GridCell]) -> LaneResults {
+fn floodmin_observe_batch(lanes: &[&GridCell]) -> Vec<(u64, Observation)> {
     let Some(first) = lanes.first() else {
         return Vec::new();
     };
@@ -350,7 +342,7 @@ fn floodmin_observe_batch(lanes: &[&GridCell]) -> LaneResults {
         .collect();
     floodmin_batch(first.n, rounds, &cells)
         .into_iter()
-        .map(|(out, counts)| (floodmin_digest(&out), Some(Observation::Counts(counts))))
+        .map(|(out, counts)| (floodmin_digest(&out), Observation::Counts(counts)))
         .collect()
 }
 
@@ -384,8 +376,25 @@ mod tests {
 
     #[test]
     fn scale_grid_registers_a_batch_kernel() {
-        assert!(grid("scale", 42).unwrap().supports_batching());
-        assert!(!grid("border", 42).unwrap().supports_batching());
+        assert!(grid("scale", 42).unwrap().batch.is_some());
+        assert!(grid("border", 42).unwrap().batch.is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "batch size must be at least 1")]
+    fn zero_batch_rejected() {
+        grid("border", 42)
+            .unwrap()
+            .sweep_shard_batched(ShardSpec::FULL, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "one result per lane")]
+    fn short_kernel_output_rejected() {
+        // A zip over a short kernel result would silently drop lanes.
+        let mut g = grid("scale", 42).unwrap();
+        g.batch.as_mut().unwrap().run = |lanes| floodmin_observe_batch(&lanes[1..]);
+        g.sweep_shard_batched(ShardSpec::FULL, 16);
     }
 
     #[test]

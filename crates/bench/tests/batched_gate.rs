@@ -1,8 +1,9 @@
 //! The batched-execution conformance gate: batching a sweep changes the
 //! execution schedule and **nothing else**.
 //!
-//! For every catalog grid and batch sizes B ∈ {1, 3, 8, 16} — including
-//! batches that leave a ragged final chunk — the batched sweep must
+//! For every catalog grid and batch sizes B ∈ {1, 2, 3, 8, 16} — including
+//! batches that leave a ragged final chunk (B = 2 splits each of the scale
+//! grid's 3-cell `(n, rounds = 2)` shape groups 2 + 1) — the batched sweep must
 //! produce per-cell digests and `Observation` payloads identical to the
 //! one-at-a-time scalar path, and the rendered `kset-sweep v2` shard
 //! file must be **byte-identical** to the sequential reference. This is
@@ -11,7 +12,7 @@
 use kset_bench::sweeps::{grid, GRID_NAMES};
 use kset_sim::sweep::{cell_seed, GridCell, ShardFile, ShardSpec};
 
-const BATCHES: [usize; 4] = [1, 3, 8, 16];
+const BATCHES: [usize; 5] = [1, 2, 3, 8, 16];
 
 #[test]
 fn batched_sweep_records_match_sequential_for_every_grid_and_batch() {

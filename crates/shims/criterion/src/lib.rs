@@ -21,6 +21,10 @@
 //!   tab-separated line per benchmark to `PATH`:
 //!   `group⇥id⇥mean_ns⇥samples`. The smoke job uploads the file as the
 //!   perf-trajectory artifact.
+//!
+//! Like upstream, the first non-flag command-line argument is a name
+//! filter: `cargo bench --bench e7_simulator_scale -- e7_batched` runs only
+//! the benchmarks whose `group/id` contains `e7_batched`.
 
 #![warn(rust_2018_idioms)]
 
@@ -125,21 +129,16 @@ impl BenchmarkGroup<'_> {
             .unwrap_or(self.sample_size)
     }
 
-    /// Runs one benchmark.
-    pub fn bench_function<F>(&mut self, id: impl fmt::Display, mut f: F) -> &mut Self
+    /// Runs one benchmark (unless the name filter excludes it).
+    pub fn bench_function<F>(&mut self, id: impl fmt::Display, f: F) -> &mut Self
     where
         F: FnMut(&mut Bencher),
     {
-        let mut bencher = Bencher {
-            samples: self.effective_samples(),
-            mean: Duration::ZERO,
-        };
-        f(&mut bencher);
-        self.report(&id.to_string(), bencher.mean, bencher.samples);
-        self
+        self.run(&id.to_string(), f)
     }
 
-    /// Runs one benchmark parameterized by `input`.
+    /// Runs one benchmark parameterized by `input` (unless the name filter
+    /// excludes it).
     pub fn bench_with_input<I: ?Sized, F>(
         &mut self,
         id: BenchmarkId,
@@ -149,12 +148,22 @@ impl BenchmarkGroup<'_> {
     where
         F: FnMut(&mut Bencher, &I),
     {
+        self.run(&id.to_string(), |b| f(b, input))
+    }
+
+    /// Times `f` and reports it, if `group/id` contains the harness's
+    /// name filter.
+    fn run(&mut self, id: &str, f: impl FnOnce(&mut Bencher)) -> &mut Self {
+        let filter = self.criterion.filter.as_deref().unwrap_or("");
+        if !format!("{}/{id}", self.name).contains(filter) {
+            return self;
+        }
         let mut bencher = Bencher {
             samples: self.effective_samples(),
             mean: Duration::ZERO,
         };
-        f(&mut bencher, input);
-        self.report(&id.to_string(), bencher.mean, bencher.samples);
+        f(&mut bencher);
+        self.report(id, bencher.mean, bencher.samples);
         self
     }
 
@@ -181,7 +190,6 @@ impl BenchmarkGroup<'_> {
                 eprintln!("warning: cannot append bench summary to {path}: {e}");
             }
         }
-        let _ = &self.criterion;
     }
 
     /// Ends the group (kept for API parity; nothing to flush).
@@ -191,10 +199,19 @@ impl BenchmarkGroup<'_> {
 /// The benchmark harness entry point.
 #[derive(Debug, Default)]
 pub struct Criterion {
-    _private: (),
+    /// Substring a benchmark's `group/id` must contain to run.
+    filter: Option<String>,
 }
 
 impl Criterion {
+    /// Takes the name filter from the command line: the first argument
+    /// after the program name that does not start with `-` (cargo passes
+    /// `--bench` ahead of the user's arguments).
+    pub fn configure_from_args(mut self) -> Self {
+        self.filter = std::env::args().skip(1).find(|arg| !arg.starts_with('-'));
+        self
+    }
+
     /// Opens a named benchmark group.
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
         BenchmarkGroup {
@@ -220,7 +237,7 @@ impl Criterion {
 macro_rules! criterion_group {
     ($name:ident, $($target:path),+ $(,)?) => {
         pub fn $name() {
-            let mut criterion = $crate::Criterion::default();
+            let mut criterion = $crate::Criterion::default().configure_from_args();
             $($target(&mut criterion);)+
         }
     };
@@ -290,6 +307,33 @@ mod tests {
         assert_eq!(fields[1], "count");
         assert!(fields[2].parse::<u128>().is_ok(), "mean_ns is numeric");
         assert_eq!(fields[3], "4");
+    }
+
+    #[test]
+    fn name_filter_selects_by_group_and_id() {
+        let _env = ENV_LOCK.lock().unwrap();
+        let run = |filter: &str| {
+            let mut c = Criterion {
+                filter: Some(filter.to_string()),
+            };
+            let mut ran = Vec::new();
+            for group in ["alpha", "beta"] {
+                let mut g = c.benchmark_group(group);
+                g.sample_size(1);
+                g.bench_function("plain", |b| b.iter(|| ran.push(format!("{group}/plain"))));
+                g.bench_with_input(BenchmarkId::new("param", 2), &2u32, |b, _| {
+                    b.iter(|| ran.push(format!("{group}/param/2")))
+                });
+                g.finish();
+            }
+            ran.dedup();
+            ran
+        };
+        assert_eq!(run("beta"), ["beta/plain", "beta/param/2"]);
+        assert_eq!(run("param"), ["alpha/param/2", "beta/param/2"]);
+        assert_eq!(run("alpha/plain"), ["alpha/plain"]);
+        assert!(run("gamma").is_empty());
+        assert_eq!(run("").len(), 4, "the empty filter matches everything");
     }
 
     #[test]

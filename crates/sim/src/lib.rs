@@ -114,7 +114,6 @@ pub use engine::{
     Engine, RunReport, RunStatus, SimEngine, SimError, Simulation, StopReason, Violation,
 };
 pub use failure::{CrashPlan, FailurePattern, Omission};
-pub use ids::planes;
 pub use ids::{
     CapacityError, MsgId, ProcessId, ProcessSet, ProcessSetIter, SenderMap, SubsetIter, Time,
     WideSet, WideSetIter, PSET_LIMBS,

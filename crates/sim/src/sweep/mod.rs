@@ -30,10 +30,10 @@
 //! * [`CellRecord`] / [`ShardFile`] / [`merge`] ([`record`]) — the
 //!   plain-text per-shard result format and its coverage-checked merge,
 //!   whose output is byte-identical to a sequential sweep's.
-//! * [`sweep_batched`] ([`batched`]) — shape-grouped batched execution:
-//!   same-shape cells run as one structure-of-arrays kernel invocation,
-//!   with results scattered back into canonical cell order (so records
-//!   stay byte-identical to the sequential reference).
+//!
+//! Batched execution lives with its one kernel (lock-step FloodMin) in the
+//! bench crate's sweep catalog (`SweepGrid::sweep_shard_batched`), under
+//! the same cell-order and seed contract.
 //!
 //! # Examples
 //!
@@ -51,12 +51,10 @@ use std::num::NonZeroUsize;
 
 use crate::ids::{CapacityError, ProcessSet};
 
-pub mod batched;
 pub mod record;
 pub mod shard;
 pub mod stream;
 
-pub use batched::sweep_batched;
 pub use record::{
     merge, CellRecord, MergeError, Observation, ParseError, PartialShardFile, ShardFile,
     SweepHeader,
